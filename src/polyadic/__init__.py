@@ -56,7 +56,6 @@ from .finite import (
     k_add,
     k_mul,
     mult_querelements,
-    proper_subfields,
     report_to_dict,
     structure_report,
 )

@@ -29,10 +29,11 @@ from .errors import (
 )
 from .finite import finite_ring, report_to_dict, structure_report
 from .groups import decompose, decomposition_to_dict
-from .ring import allowed_residues, make_descriptor
+from .ring import make_descriptor
 from .tables import (
     appendix_to_md,
     generate_appendix,
+    grid_pairs,
     thread_count,
     write_tables,
 )
@@ -179,7 +180,7 @@ def _report_line(a: int, b: int, q: int) -> str:
     payload = report_to_dict(report)
     if report.is_field:
         payload["group"] = decomposition_to_dict(decompose(fr))
-    return json.dumps(payload, separators=(",", ":"))
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def _cmd_finite(args) -> str:
@@ -253,20 +254,14 @@ def _cmd_appendix(args) -> str:
 
 
 def _cmd_scan(args) -> str:
-    cells = [
-        (a, b, q)
-        for b in range(2, args.bmax + 1)
-        for a in allowed_residues(b)
-        for q in range(2, args.qmax + 1)
-    ]
-    ordered = sorted(cells, key=lambda t: (t[1], t[0], t[2]))
+    cells = [(a, b, q) for a, b in grid_pairs(args.bmax) for q in range(2, args.qmax + 1)]
     workers = thread_count()
     if workers == 1:
-        lines = [_report_line(a, b, q) for a, b, q in ordered]
+        lines = [_report_line(a, b, q) for a, b, q in cells]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(lambda t: _report_line(*t), ordered))
-    return "".join(line + "\n" for line in lines)
+            lines = list(pool.map(lambda t: _report_line(*t), cells))
+    return "".join(lines)
 
 
 def main(argv=None) -> int:

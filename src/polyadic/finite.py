@@ -6,12 +6,19 @@ indices plus the additive shape invariant, and multiplication is the
 exact representative product reduced back to an index.  This module
 classifies those rings: zero, units, field property, polyadic
 characteristic, idempotence orders, and the JSON report format.
+
+Zero, units, the field test and the characteristic are closed forms in
+the representatives, each proved in its docstring, so they cost O(q)
+modular operations and search no set of products.  Every order, cycle,
+subgroup and reflection is read off one walk along an element's powers,
+`power_orbit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ArityMismatchError, NoFiniteOrderError
@@ -83,37 +90,51 @@ def additive_quer_index(fr: FiniteRing, k: int) -> int:
     return ((2 - fr.ring.m) * k - fr.ring.i_shape) % fr.q
 
 
-def _products_mod(fr: FiniteRing, indices: Sequence[int], count: int) -> set[int]:
-    """All residues mod b*q reachable as products of `count` representatives."""
-    reps = [fr.rep(t) for t in indices]
-    out = {1 % fr.modulus} if count == 0 else set(reps)
-    for _ in range(count - 1):
-        out = {(p * r) % fr.modulus for p in out for r in reps}
-    return out
-
-
-@lru_cache(maxsize=None)
 def find_zero(fr: FiniteRing) -> Optional[int]:
-    """The multiplicatively absorbing, additively 1-idempotent index, if any."""
-    n = fr.ring.n
-    products = _products_mod(fr, range(fr.q), n - 1)
-    for z in fr.elements():
-        rz = fr.rep(z)
-        if (fr.ring.m * z + fr.ring.i_shape) % fr.q != z:
+    """The multiplicatively absorbing, additively 1-idempotent index, if any.
+
+    Index z is the zero exactly when (m-1)*z + I = 0 (mod q) and, with
+    h = b*q / gcd(rep z, b*q), h divides b and a^(n-1) = 1 (mod h).
+
+    Proof sketch.  The first condition is m*z + I = z rewritten.  z absorbs
+    when rep(z)*p = rep(z) (mod b*q), that is p = 1 (mod h), for every
+    product p of n-1 representatives.  Every representative is a modulo b,
+    so when h | b every such p is a^(n-1) modulo h, which settles one
+    direction.  Conversely the product of n-1 copies of rep(0) = a gives
+    a^(n-1) = 1 (mod h), so a is invertible modulo h; for q >= 2, swapping
+    one factor for rep(1) = a + b changes p by b*a^(n-2), so h | b.  For
+    q = 1, h divides b*q = b anyway.  An absorbing element is unique, so
+    the first index passing the test is the zero.
+    """
+    d, q = fr.ring, fr.q
+    mod = d.b * q
+    for z in range(q):
+        if ((d.m - 1) * z + d.i_shape) % q:
             continue
-        if all((rz * p) % fr.modulus == rz for p in products):
+        h = mod // gcd(d.a + d.b * z, mod)
+        if d.b % h == 0 and pow(d.a, d.n - 1, h) == 1 % h:
             return z
     return None
 
 
-@lru_cache(maxsize=None)
 def find_units(fr: FiniteRing) -> tuple[int, ...]:
-    """All indices e with mu[e^(n-1), x] = x for every x."""
-    reps = [fr.rep(t) for t in fr.elements()]
+    """All indices e with mu[e^(n-1), x] = x for every x.
+
+    Index e is a unit exactly when u = rep(e)^(n-1) - 1 satisfies q | u
+    and b*q | u*a.
+
+    Proof sketch.  The defining condition reads u*(a + b*k) = 0 (mod b*q)
+    for every index k.  At k = 0 it is b*q | u*a.  For q >= 2 the
+    difference of k = 1 and k = 0 gives b*q | u*b, that is q | u, which
+    holds trivially for q = 1.  Conversely, q | u makes u*b*k vanish
+    modulo b*q for every k, leaving the k = 0 condition.
+    """
+    d, q = fr.ring, fr.q
+    mod = d.b * q
     out = []
-    for e in fr.elements():
-        power = pow(fr.rep(e), fr.ring.n - 1, fr.modulus)
-        if all((power * r) % fr.modulus == r for r in reps):
+    for e in range(q):
+        u = pow(d.a + d.b * e, d.n - 1, mod) - 1
+        if u % q == 0 and u * d.a % mod == 0:
             out.append(e)
     return tuple(out)
 
@@ -125,111 +146,105 @@ def mult_querelements(fr: FiniteRing, k: int) -> tuple[int, ...]:
     return tuple(y for y in fr.elements() if (power * fr.rep(y)) % fr.modulus == target)
 
 
-def _is_field_on(fr: FiniteRing, subset: Sequence[int]) -> bool:
-    """Field test on a subset closed under both operations.
-
-    Checks the additive translations are bijections, finds the absorbing
-    element inside the subset, and demands every multiplicative
-    translation by an (n-1)-tuple to permute the remaining elements.
-    """
-    subset = sorted(subset)
-    if not subset:
-        return False
-    sub = set(subset)
-    q, mod = fr.q, fr.modulus
-    # Additive translations t -> t + s + I must stay inside and be bijections.
-    sums = {t % q for t in subset}
-    for _ in range(fr.ring.m - 2):
-        sums = {(s + t) % q for s in sums for t in subset}
-    for s in sums:
-        image = {(t + s + fr.ring.i_shape) % q for t in subset}
-        if image != sub:
-            return False
-    # Absorbing element inside the subset, if any.
-    products = _products_mod(fr, subset, fr.ring.n - 1)
-    zero = None
-    for z in subset:
-        rz = fr.rep(z)
-        if (fr.ring.m * z + fr.ring.i_shape) % q != z:
-            continue
-        if all((rz * p) % mod == rz for p in products):
-            zero = z
-            break
-    core = [t for t in subset if t != zero]
-    if not core:
-        return False
-    core_set = set(core)
-    core_products = _products_mod(fr, core, fr.ring.n - 1)
-    for p in core_products:
-        image = set()
-        for t in core:
-            v = (p * fr.rep(t)) % mod
-            idx = (v - fr.ring.a) // fr.ring.b
-            if idx not in core_set or idx in image:
-                return False
-            image.add(idx)
-    return True
-
-
-@lru_cache(maxsize=None)
 def is_field(fr: FiniteRing) -> bool:
-    return _is_field_on(fr, tuple(fr.elements()))
+    """Whether the additive and the non-zero multiplicative structure are groups.
+
+    The ring is a field exactly when it has a non-zero element and every
+    non-zero representative is coprime to q.
+
+    Proof sketch.  Additive translations k -> k + s + I permute the
+    indices, so only multiplication can fail.  Multiplying by a product p
+    of n-1 representatives maps index k to p*k + (p*a - a)/b (mod q), since
+    p*(a + b*k) = a + b*(p*k + (p*a - a)/b) and p*a = a^n = a (mod b).  This
+    affine map is a bijection of the indices iff gcd(p, q) = 1; otherwise
+    every image has gcd(p, q) > 1 preimages.  If all non-zero
+    representatives are coprime to q, so is every product p of them, and
+    its bijection fixes the zero (which absorbs), so it permutes the
+    non-zero indices: a field.  If some non-zero representative r shares a
+    factor with q, take p = r^(n-1).  Without a zero, its map is not
+    injective on the non-zero indices.  With a zero z, the preimage of z
+    holds z and at least one non-zero index, which p sends out of the
+    non-zero indices.  Either way it is not a field.
+    """
+    zero = find_zero(fr)
+    nonzero = [fr.rep(k) for k in fr.elements() if k != zero]
+    return bool(nonzero) and all(gcd(r, fr.q) == 1 for r in nonzero)
+
+
+def power_orbit(fr: FiniteRing, k: int) -> tuple[int, ...]:
+    """Indices of k and its successive multiplicative powers, to the first repeat.
+
+    The l-th power of k is rep(k)^(l*(n-1)+1), each the previous one times
+    rep(k)^(n-1).  The last entry is the first index seen twice; all
+    earlier entries are distinct, so the tuple has at most q + 1 entries
+    and every index that any power of k reaches is in it.
+    """
+    a, b, mod = fr.ring.a, fr.ring.b, fr.modulus
+    v = fr.rep(k)
+    step = pow(v, fr.ring.n - 1, mod)
+    walk = [(v - a) // b]
+    seen = set(walk)
+    while True:
+        v = v * step % mod
+        idx = (v - a) // b
+        walk.append(idx)
+        if idx in seen:
+            return tuple(walk)
+        seen.add(idx)
+
+
+def _order(walk: tuple[int, ...]) -> Optional[int]:
+    # k has an order exactly when the first repeat is k itself.
+    return len(walk) - 1 if walk[-1] == walk[0] else None
 
 
 def element_order(fr: FiniteRing, k: int) -> int:
     """Least lam >= 1 with the lam-th multiplicative power equal to k itself."""
-    order = _element_order_or_none(fr, k)
+    walk = power_orbit(fr, k)
+    order = _order(walk)
     if order is None:
-        raise NoFiniteOrderError(k, _cycle_length(fr, k))
+        raise NoFiniteOrderError(k, len(walk) - 1 - walk.index(walk[-1]))
     return order
-
-
-def _element_order_or_none(fr: FiniteRing, k: int) -> Optional[int]:
-    target = fr.rep(k)
-    step = pow(target, fr.ring.n - 1, fr.modulus)
-    bound = (fr.q - 1 if find_zero(fr) is not None else fr.q) + 1
-    v = target
-    for lam in range(1, bound + 1):
-        v = (v * step) % fr.modulus
-        if v == target:
-            return lam
-    return None
-
-
-def _cycle_length(fr: FiniteRing, k: int) -> int:
-    target = fr.rep(k)
-    step = pow(target, fr.ring.n - 1, fr.modulus)
-    seen: dict[int, int] = {}
-    v = target
-    i = 0
-    while v not in seen:
-        seen[v] = i
-        v = (v * step) % fr.modulus
-        i += 1
-    return i - seen[v]
 
 
 def characteristic(fr: FiniteRing) -> Optional[int]:
     """Least l >= 1 with the l-th additive power of the unit at the zero.
 
     Defined only when both a unit and the zero exist; with several units
-    they must agree, anything else would be an internal inconsistency.
+    they must agree, anything else would be an internal inconsistency
+    and raises ValueError.
+
+    For a unit e it is the least l >= 1 solving the linear congruence
+    l*(m-1)*rep(e) = rep(z) - rep(e) (mod b*q).
+
+    Proof sketch.  The l-th additive power of e sums l*(m-1) + 1 copies of
+    rep(e), which gives the congruence.  With c = (m-1)*rep(e) and
+    g = gcd(c, b*q), it is solvable iff g | rep(z) - rep(e), and its
+    solutions are then one residue class modulo b*q/g.  Since
+    (m-1)*a = 0 (mod b) defines m, b divides c and so g, and the period
+    b*q/g is at most q: the least solution is the one a direct search
+    over l <= q would find.
     """
     zero = find_zero(fr)
     units = find_units(fr)
     if zero is None or not units:
         return None
-    values = set()
-    for e in units:
-        chi = None
-        for l in range(1, fr.q + 1):
-            count = l * (fr.ring.m - 1) + 1
-            if (count * fr.rep(e)) % fr.modulus == fr.rep(zero):
-                chi = l
-                break
-        values.add(chi)
-    assert len(values) == 1, f"units disagree on the characteristic: {values}"
+    values = {_least_additive_steps(fr, e, zero) for e in units}
+    if len(values) != 1:
+        raise ValueError(f"units disagree on the characteristic: {values}")
     return values.pop()
+
+
+def _least_additive_steps(fr: FiniteRing, e: int, zero: int) -> Optional[int]:
+    mod = fr.modulus
+    c = (fr.ring.m - 1) * fr.rep(e) % mod
+    target = (fr.rep(zero) - fr.rep(e)) % mod
+    g = gcd(c, mod)
+    if target % g:
+        return None
+    period = mod // g
+    l0 = target // g * pow(c // g, -1, period) % period
+    return l0 or period
 
 
 @dataclass(frozen=True)
@@ -257,7 +272,7 @@ def structure_report(fr: FiniteRing) -> StructureReport:
     zero = find_zero(fr)
     units = find_units(fr)
     field = is_field(fr)
-    orders = tuple(_element_order_or_none(fr, k) for k in fr.elements())
+    orders = tuple(_order(power_orbit(fr, k)) for k in fr.elements())
     nonzero_orders = [o for k, o in enumerate(orders) if k != zero]
     lambda_p = None
     if nonzero_orders and all(o is not None for o in nonzero_orders):
@@ -302,30 +317,3 @@ def report_to_dict(report: StructureReport) -> dict:
         "nonunital": report.nonunital,
         "element_orders": {str(k): o for k, o in enumerate(report.element_orders)},
     }
-
-
-def proper_subfields(fr: FiniteRing) -> list[tuple[int, ...]]:
-    """Nonempty proper subsets closed under both ops that form a field.
-
-    Exhaustive over all subsets, so only sensible at small q; the
-    expected result everywhere is an empty list.
-    """
-    from itertools import combinations
-
-    q, mod = fr.q, fr.modulus
-    found = []
-    all_indices = list(fr.elements())
-    for size in range(1, q):
-        for subset in combinations(all_indices, size):
-            sub = set(subset)
-            sums = set(subset)
-            for _ in range(fr.ring.m - 1):
-                sums = {(s + t) % q for s in sums for t in subset}
-            if not {(s + fr.ring.i_shape) % q for s in sums} <= sub:
-                continue
-            prods = _products_mod(fr, subset, fr.ring.n)
-            if not {(p - fr.ring.a) // fr.ring.b for p in prods} <= sub:
-                continue
-            if _is_field_on(fr, subset):
-                found.append(subset)
-    return found

@@ -2,17 +2,18 @@
 
 Cyclic subgroups generated by polyadic powers, the split between them
 and the subgroup of units, primitive elements, and reflections (elements
-a power of which lands on a unit).
+a power of which lands on a unit).  Subgroups and reflections are read off
+`finite.power_orbit`, primitive elements off the structure report's
+element orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .errors import NotAFieldError, NoUnitsError
-from .finite import FiniteRing, element_order, structure_report
+from .finite import FiniteRing, StructureReport, power_orbit, structure_report
 
 
 @dataclass(frozen=True)
@@ -33,43 +34,30 @@ def _require_field(fr: FiniteRing) -> None:
         raise NotAFieldError(f"{fr!r} is not a polyadic field")
 
 
-def _orbit(fr: FiniteRing, k: int) -> tuple[int, ...]:
-    """Indices of the successive multiplicative powers of k, one full cycle."""
-    target = fr.rep(k)
-    step = pow(target, fr.ring.n - 1, fr.modulus)
-    out = []
-    v = target
-    while True:
-        v = (v * step) % fr.modulus
-        out.append((v - fr.ring.a) // fr.ring.b)
-        if v == target:
-            return tuple(out)
-
-
 def cyclic_subgroup(fr: FiniteRing, k: int) -> frozenset[int]:
     """The cyclic n-ary subgroup generated by a non-zero element."""
     _require_field(fr)
     report = structure_report(fr)
     if report.zero == k:
         raise ValueError("the zero generates no multiplicative subgroup")
-    return frozenset(_orbit(fr, k))
+    return frozenset(power_orbit(fr, k))
 
 
-def _reflection_map(fr: FiniteRing, units: set[int], zero: Optional[int]) -> dict[int, int]:
+def _nonunit_orbits(fr: FiniteRing, report: StructureReport) -> dict[int, tuple[int, ...]]:
+    """The power orbit of every element that is neither a unit nor the zero."""
+    units = set(report.units)
+    return {k: power_orbit(fr, k) for k in fr.elements()
+            if k not in units and k != report.zero}
+
+
+def _reflection_map(orbits: dict[int, tuple[int, ...]], units: set[int]) -> dict[int, int]:
+    # An orbit holds every index that any power reaches, so the first unit
+    # in it after position 0 gives the least l.
     out = {}
-    q_star = fr.q - 1 if zero is not None else fr.q
-    for k in fr.elements():
-        if k in units or k == zero:
-            continue
-        target = fr.rep(k)
-        step = pow(target, fr.ring.n - 1, fr.modulus)
-        v = target
-        for l in range(1, q_star + 1):
-            v = (v * step) % fr.modulus
-            idx = (v - fr.ring.a) // fr.ring.b
-            if idx in units:
-                out[k] = l
-                break
+    for k, walk in orbits.items():
+        l = next((l for l in range(1, len(walk)) if walk[l] in units), None)
+        if l is not None:
+            out[k] = l
     return out
 
 
@@ -78,7 +66,7 @@ def reflections(fr: FiniteRing) -> dict[int, int]:
     report = structure_report(fr)
     if not report.units:
         raise NoUnitsError(f"{fr!r} has no unit")
-    return _reflection_map(fr, set(report.units), report.zero)
+    return _reflection_map(_nonunit_orbits(fr, report), set(report.units))
 
 
 def primitive_elements(fr: FiniteRing) -> tuple[frozenset[int], int]:
@@ -86,8 +74,8 @@ def primitive_elements(fr: FiniteRing) -> tuple[frozenset[int], int]:
     _require_field(fr)
     report = structure_report(fr)
     prim = frozenset(
-        k for k in fr.elements()
-        if k != report.zero and element_order(fr, k) == report.q_star
+        k for k, order in enumerate(report.element_orders)
+        if k != report.zero and order == report.q_star
     )
     return prim, len(prim)
 
@@ -105,8 +93,8 @@ def decompose(fr: FiniteRing) -> GroupDecomposition:
     units = set(report.units)
     zero = report.zero
     nonzero = {k for k in fr.elements() if k != zero}
-    generators = [k for k in sorted(nonzero) if k not in units]
-    candidates = {frozenset(_orbit(fr, k)) for k in generators}
+    orbits = _nonunit_orbits(fr, report)
+    candidates = {frozenset(walk) for walk in orbits.values()}
     maximal = [g for g in candidates if not any(g < h for h in candidates)]
     subgroups = tuple(sorted((tuple(sorted(g)) for g in maximal), key=lambda g: g[0]))
     disjoint = all(
@@ -118,7 +106,7 @@ def decompose(fr: FiniteRing) -> GroupDecomposition:
     covers = union | units == nonzero
     split = all(not units & set(g) for g in subgroups)
     prim, kappa = primitive_elements(fr)
-    refl = _reflection_map(fr, units, zero)
+    refl = _reflection_map(orbits, units)
     return GroupDecomposition(
         ring=fr,
         subgroups=subgroups,

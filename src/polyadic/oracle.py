@@ -2,9 +2,13 @@
 
 These deliberately share no code with the main paths: arities come from
 a plain double scan, index multiplication from the literal
-symmetric-polynomial expansion, and the field check from exhaustive
-tuple enumeration.  Tests use them as the arbiter wherever the main
-path uses a closed form or a pruned search.
+symmetric-polynomial expansion, and the zero, the units and the field
+check from exhaustive tuple enumeration.  Tests use them as the arbiter
+wherever the main path uses a closed form or a pruned search.
+
+The subset field search behind `proper_subfields` lives here too: only
+tests call it, and it enumerates sets of products where the main path
+uses closed forms.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ForbiddenPairError
 from .finite import FiniteRing, is_field
@@ -74,7 +78,8 @@ def _add(fr: FiniteRing, ks) -> int:
     return (total - fr.ring.a) // fr.ring.b
 
 
-def _oracle_zero(fr: FiniteRing) -> Optional[int]:
+def oracle_zero(fr: FiniteRing) -> Optional[int]:
+    """The first index that every (n-1)-tuple multiplies back onto itself."""
     for z in fr.elements():
         if all(
             _mul(fr, (z,) + t) == z
@@ -82,6 +87,15 @@ def _oracle_zero(fr: FiniteRing) -> Optional[int]:
         ):
             return z
     return None
+
+
+def oracle_units(fr: FiniteRing) -> tuple[int, ...]:
+    """Indices e whose (n-1)-fold repetition multiplies every x back onto x."""
+    n = fr.ring.n
+    return tuple(
+        e for e in fr.elements()
+        if all(_mul(fr, (e,) * (n - 1) + (x,)) == x for x in fr.elements())
+    )
 
 
 def oracle_is_field(fr: FiniteRing) -> bool:
@@ -93,7 +107,7 @@ def oracle_is_field(fr: FiniteRing) -> bool:
             hits = [y for y in range(q) if _add(fr, t + (y,)) == x]
             if len(hits) != 1:
                 return False
-    zero = _oracle_zero(fr)
+    zero = oracle_zero(fr)
     core = [x for x in range(q) if x != zero]
     if not core:
         return False
@@ -132,3 +146,83 @@ def oracle_group_axioms(fr: FiniteRing, spot_checks: int = 25) -> OracleReport:
     if verdict != is_field(fr):
         report.mismatches.append(("field verdict", verdict, is_field(fr)))
     return report
+
+
+def _products_mod(fr: FiniteRing, indices: Sequence[int], count: int) -> set[int]:
+    """All residues mod b*q reachable as products of `count` representatives."""
+    reps = [fr.rep(t) for t in indices]
+    out = {1 % fr.modulus} if count == 0 else set(reps)
+    for _ in range(count - 1):
+        out = {(p * r) % fr.modulus for p in out for r in reps}
+    return out
+
+
+def _is_field_on(fr: FiniteRing, subset: Sequence[int]) -> bool:
+    """Field test on a subset closed under both operations.
+
+    Checks the additive translations are bijections, finds the absorbing
+    element inside the subset, and demands every multiplicative
+    translation by an (n-1)-tuple to permute the remaining elements.
+    """
+    subset = sorted(subset)
+    if not subset:
+        return False
+    sub = set(subset)
+    q, mod = fr.q, fr.modulus
+    # Additive translations t -> t + s + I must stay inside and be bijections.
+    sums = {t % q for t in subset}
+    for _ in range(fr.ring.m - 2):
+        sums = {(s + t) % q for s in sums for t in subset}
+    for s in sums:
+        image = {(t + s + fr.ring.i_shape) % q for t in subset}
+        if image != sub:
+            return False
+    # Absorbing element inside the subset, if any.
+    products = _products_mod(fr, subset, fr.ring.n - 1)
+    zero = None
+    for z in subset:
+        rz = fr.rep(z)
+        if (fr.ring.m * z + fr.ring.i_shape) % q != z:
+            continue
+        if all((rz * p) % mod == rz for p in products):
+            zero = z
+            break
+    core = [t for t in subset if t != zero]
+    if not core:
+        return False
+    core_set = set(core)
+    core_products = _products_mod(fr, core, fr.ring.n - 1)
+    for p in core_products:
+        image = set()
+        for t in core:
+            v = (p * fr.rep(t)) % mod
+            idx = (v - fr.ring.a) // fr.ring.b
+            if idx not in core_set or idx in image:
+                return False
+            image.add(idx)
+    return True
+
+
+def proper_subfields(fr: FiniteRing) -> list[tuple[int, ...]]:
+    """Nonempty proper subsets closed under both ops that form a field.
+
+    Exhaustive over all subsets, so only sensible at small q; the
+    expected result everywhere is an empty list.
+    """
+    q = fr.q
+    found = []
+    all_indices = list(fr.elements())
+    for size in range(1, q):
+        for subset in combinations(all_indices, size):
+            sub = set(subset)
+            sums = set(subset)
+            for _ in range(fr.ring.m - 1):
+                sums = {(s + t) % q for s in sums for t in subset}
+            if not {(s + fr.ring.i_shape) % q for s in sums} <= sub:
+                continue
+            prods = _products_mod(fr, subset, fr.ring.n)
+            if not {(p - fr.ring.a) // fr.ring.b for p in prods} <= sub:
+                continue
+            if _is_field_on(fr, subset):
+                found.append(subset)
+    return found

@@ -83,8 +83,10 @@ class RingDescriptor:
     j_shape: int
 
     def __post_init__(self):
-        assert (self.m - 1) * self.a == self.i_shape * self.b
-        assert self.a**self.n - self.a == self.j_shape * self.b
+        if (self.m - 1) * self.a != self.i_shape * self.b:
+            raise ValueError(f"(m-1)*a != I*b for {self!r} with I={self.i_shape}")
+        if self.a**self.n - self.a != self.j_shape * self.b:
+            raise ValueError(f"a^n - a != J*b for {self!r} with J={self.j_shape}")
 
     def __repr__(self):
         return f"Z_({self.m},{self.n})^[{self.a},{self.b}]"
@@ -141,13 +143,9 @@ def allowed_residues(b: int) -> list[int]:
 
 
 def forbidden_residues(b: int) -> list[int]:
-    out = []
-    for a in range(1, b):
-        try:
-            derive_arities(a, b)
-        except ForbiddenPairError:
-            out.append(a)
-    return out
+    """Residues 1..b-1 that head no polyadic ring."""
+    allowed = set(allowed_residues(b))
+    return [a for a in range(1, b) if a not in allowed]
 
 
 @dataclass(frozen=True)

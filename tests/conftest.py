@@ -24,14 +24,9 @@ settings.load_profile("suite")
 def scan_rings(b_max: int, q_max: int):
     """Every allowed finite ring in the grid, in (b, a, q) order."""
     from polyadic.finite import finite_ring
-    from polyadic.ring import allowed_residues
+    from polyadic.tables import grid_pairs
 
-    return [
-        finite_ring(a, b, q)
-        for b in range(2, b_max + 1)
-        for a in allowed_residues(b)
-        for q in range(2, q_max + 1)
-    ]
+    return [finite_ring(a, b, q) for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)]
 
 
 @pytest.fixture(scope="session")

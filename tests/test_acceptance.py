@@ -21,10 +21,10 @@ from polyadic.finite import (
     is_field,
     k_mul,
     mult_querelements,
-    proper_subfields,
     structure_report,
 )
 from polyadic.groups import decompose
+from polyadic.oracle import proper_subfields
 from polyadic.ring import allowed_residues, make_descriptor, mu_long, nu_long
 from polyadic.tables import (
     deviations_report,

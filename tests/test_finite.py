@@ -15,10 +15,10 @@ from polyadic.finite import (
     k_add,
     k_mul,
     mult_querelements,
-    proper_subfields,
     report_to_dict,
     structure_report,
 )
+from polyadic.oracle import proper_subfields
 from conftest import scan_rings
 
 

@@ -1,14 +1,22 @@
 import pytest
 
+from conftest import scan_rings
 from polyadic.errors import ForbiddenPairError
-from polyadic.finite import finite_ring
+from polyadic.finite import find_units, find_zero, finite_ring, is_field
 from polyadic.oracle import (
     oracle_arity,
     oracle_group_axioms,
     oracle_is_field,
     oracle_kmult,
+    oracle_units,
+    oracle_zero,
 )
 from polyadic.ring import derive_arities
+
+
+def wide_grid():
+    """Every ring with b, q <= 8, the binary limit included."""
+    return [finite_ring(0, 1, q) for q in range(2, 9)] + scan_rings(8, 8)
 
 
 class TestOracleArity:
@@ -62,3 +70,23 @@ class TestOracleGroupAxioms:
 
     def test_field_verdicts_agree_with_main_path(self, oracle_grid_mismatches):
         assert oracle_grid_mismatches == []
+
+    def test_field_verdicts_agree_beyond_the_fixture(self):
+        # b, q <= 8 outside the b, q <= 6 fixture, where enumeration is cheap
+        checked = 0
+        for fr in wide_grid():
+            d = fr.ring
+            if d.b <= 6 and fr.q <= 6 or fr.q ** (d.m + 1) + fr.q ** (d.n + 1) > 10**5:
+                continue
+            assert oracle_is_field(fr) == is_field(fr), fr
+            checked += 1
+        assert checked == 34
+
+
+class TestOracleZeroAndUnits:
+    def test_agree_with_closed_forms(self):
+        rings = wide_grid()
+        assert len(rings) == 175
+        for fr in rings:
+            assert oracle_zero(fr) == find_zero(fr), fr
+            assert oracle_units(fr) == find_units(fr), fr

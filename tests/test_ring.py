@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +61,18 @@ class TestArities:
         assert (d.m, d.n, d.i_shape, d.j_shape) == (6, 2, 3, 3)
         d = make_descriptor(1, 5)
         assert (d.m, d.n, d.i_shape, d.j_shape) == (6, 2, 1, 0)
+
+    def test_descriptor_rejects_wrong_shape_under_optimisation(self):
+        # `python -O` strips asserts; (3, 4) really has arities (5, 3)
+        script = ("from polyadic.ring import RingDescriptor\n"
+                  "try:\n"
+                  "    RingDescriptor(3, 4, 2, 2, 0, 0)\n"
+                  "except ValueError:\n"
+                  "    print('rejected')\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "rejected\n"
 
     def test_addition_arity_exceeds_multiplication_arity(self):
         for a, b in residue_pairs(30):
