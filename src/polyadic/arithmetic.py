@@ -207,6 +207,8 @@ def prime_scan(ring: RingDescriptor, k_max: int) -> PrimeScan:
     delta keeps the primes whose representative is neither +-1 nor a
     binary prime up to sign.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     if not ring.is_limiting:
         raise NotLimitingError(f"{ring!r} has no unit, hence no polyadic primes")
     primes = []

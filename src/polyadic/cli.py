@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 forbidden residue pair, 3 not a field where a
 field is required, 4 bad arguments.  Output is deterministic for a given
-argv; scans honour POLYADIC_THREADS but order results by (b, a, q)
-regardless of scheduling.
+argv: scans classify one ring at a time in (b, a, q) order.  Each command
+accepts only the --format values that change its output (`_FORMATS`).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .arithmetic import (
     divide_with_remainder,
@@ -34,9 +33,18 @@ from .tables import (
     appendix_to_md,
     generate_appendix,
     grid_pairs,
-    thread_count,
+    render_tables,
     write_tables,
 )
+
+# --format choices per command; the last one is the default.  `arity`
+# and `scan` have a single output shape and take no --format.
+_FORMATS = {
+    **dict.fromkeys(("ring", "primes", "euler", "divide", "remainder", "finite",
+                     "group"), ("json", "text")),
+    "appendix": ("json", "md"),
+    "table": ("json", "csv", "md"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,8 +73,6 @@ def _build_parser() -> _Parser:
         if values:
             sp.add_argument("--dividend", type=int, required=True)
             sp.add_argument("--divisor", type=int, required=True)
-        sp.add_argument("--format", choices=("json", "csv", "md", "text"),
-                        default="text")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
     common(sub.add_parser("arity", help="derive (m, n) and the shape invariants"))
@@ -81,7 +87,6 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("table", help="regenerate the classification tables")
     t.add_argument("--out", help="directory to write tables/ into")
-    t.add_argument("--format", choices=("json", "csv", "md", "text"), default="md")
 
     common(sub.add_parser("appendix", help="full listing of one catalogued field"),
            q=True)
@@ -90,6 +95,9 @@ def _build_parser() -> _Parser:
     s.add_argument("--bmax", type=int, required=True)
     s.add_argument("--qmax", type=int, required=True)
     s.add_argument("--out", help="write output to this path instead of stdout")
+
+    for name, choices in _FORMATS.items():
+        sub.choices[name].add_argument("--format", choices=choices, default=choices[-1])
     return p
 
 
@@ -163,6 +171,8 @@ def _cmd_divide(args) -> str:
 
 def _cmd_remainder(args) -> str:
     d = make_descriptor(args.a, args.b)
+    if args.radius < 0:
+        raise ValueError("radius must be >= 0")
     x1 = d.from_value(args.dividend)
     pairs = divide_with_remainder(x1, d.from_value(args.divisor),
                                   abs(x1.k) + args.radius)
@@ -179,7 +189,7 @@ def _report_line(a: int, b: int, q: int) -> str:
     report = structure_report(fr)
     payload = report_to_dict(report)
     if report.is_field:
-        payload["group"] = decomposition_to_dict(decompose(fr))
+        payload["group"] = decomposition_to_dict(decompose(report))
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
@@ -202,7 +212,7 @@ def _cmd_finite(args) -> str:
 
 def _cmd_group(args) -> str:
     fr = finite_ring(args.a, args.b, args.q)
-    dec = decompose(fr)
+    dec = decompose(structure_report(fr))
     if args.format == "json":
         return json.dumps(decomposition_to_dict(dec), separators=(",", ":")) + "\n"
     values = lambda ks: ", ".join(str(fr.rep(k)) for k in ks)
@@ -224,25 +234,9 @@ def _cmd_table(args) -> int:
         for path in write_tables(args.out):
             print(path)
         return 0
-    from . import tables
-
-    t2 = tables.generate_t2()
-    t0 = tables.generate_t0()
-    c1, o1 = tables.generate_t1()
-    if args.format == "json":
-        sys.stdout.write(tables.t0_to_json(t0))
-        sys.stdout.write(tables.t1_to_json(c1, o1))
-        sys.stdout.write(tables.t2_to_json(t2))
-    elif args.format == "csv":
-        sys.stdout.write(tables.t0_to_csv(t0))
-        sys.stdout.write(tables.t1_to_csv(c1, o1))
-        sys.stdout.write(tables.t2_to_csv(t2))
-    else:
-        sys.stdout.write(tables.t0_to_md(t0))
-        sys.stdout.write("\n")
-        sys.stdout.write(tables.t1_to_md(c1, o1))
-        sys.stdout.write("\n")
-        sys.stdout.write(tables.t2_to_md(t2))
+    texts = render_tables()
+    sep = "\n" if args.format == "md" else ""
+    sys.stdout.write(sep.join(texts[f"{t}.{args.format}"] for t in ("T0", "T1", "T2")))
     return 0
 
 
@@ -254,14 +248,8 @@ def _cmd_appendix(args) -> str:
 
 
 def _cmd_scan(args) -> str:
-    cells = [(a, b, q) for a, b in grid_pairs(args.bmax) for q in range(2, args.qmax + 1)]
-    workers = thread_count()
-    if workers == 1:
-        lines = [_report_line(a, b, q) for a, b, q in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(lambda t: _report_line(*t), cells))
-    return "".join(lines)
+    return "".join(_report_line(a, b, q)
+                   for a, b in grid_pairs(args.bmax) for q in range(2, args.qmax + 1))
 
 
 def main(argv=None) -> int:

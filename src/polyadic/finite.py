@@ -11,13 +11,14 @@ Zero, units, the field test and the characteristic are closed forms in
 the representatives, each proved in its docstring, so they cost O(q)
 modular operations and search no set of products.  Every order, cycle,
 subgroup and reflection is read off one walk along an element's powers,
-`power_orbit`.
+`power_orbit`.  `structure_report` classifies a ring in one pass: it finds
+the zero and the units once, walks each element's powers once, and keeps
+the walks on the report for `groups` to read.  Nothing is cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
@@ -166,7 +167,10 @@ def is_field(fr: FiniteRing) -> bool:
     holds z and at least one non-zero index, which p sends out of the
     non-zero indices.  Either way it is not a field.
     """
-    zero = find_zero(fr)
+    return _is_field(fr, find_zero(fr))
+
+
+def _is_field(fr: FiniteRing, zero: Optional[int]) -> bool:
     nonzero = [fr.rep(k) for k in fr.elements() if k != zero]
     return bool(nonzero) and all(gcd(r, fr.q) == 1 for r in nonzero)
 
@@ -225,8 +229,11 @@ def characteristic(fr: FiniteRing) -> Optional[int]:
     b*q/g is at most q: the least solution is the one a direct search
     over l <= q would find.
     """
-    zero = find_zero(fr)
-    units = find_units(fr)
+    return _characteristic(fr, find_zero(fr), find_units(fr))
+
+
+def _characteristic(fr: FiniteRing, zero: Optional[int],
+                    units: tuple[int, ...]) -> Optional[int]:
     if zero is None or not units:
         return None
     values = {_least_additive_steps(fr, e, zero) for e in units}
@@ -260,19 +267,20 @@ class StructureReport:
     n_admissible: bool
     zeroless: bool
     nonunital: bool
+    # power_orbit of every index, for groups; not part of the classification.
+    orbits: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def kappa_e(self) -> int:
         return len(self.units)
 
 
-@lru_cache(maxsize=None)
 def structure_report(fr: FiniteRing) -> StructureReport:
-    """Full classification of one finite ring; deterministic and cached."""
+    """Full classification of one finite ring, one power walk per element."""
     zero = find_zero(fr)
     units = find_units(fr)
-    field = is_field(fr)
-    orders = tuple(_order(power_orbit(fr, k)) for k in fr.elements())
+    orbits = tuple(power_orbit(fr, k) for k in fr.elements())
+    orders = tuple(_order(walk) for walk in orbits)
     nonzero_orders = [o for k, o in enumerate(orders) if k != zero]
     lambda_p = None
     if nonzero_orders and all(o is not None for o in nonzero_orders):
@@ -282,14 +290,15 @@ def structure_report(fr: FiniteRing) -> StructureReport:
         ring=fr,
         zero=zero,
         units=units,
-        is_field=field,
-        chi_p=characteristic(fr),
+        is_field=_is_field(fr, zero),
+        chi_p=_characteristic(fr, zero, units),
         lambda_p=lambda_p,
         element_orders=orders,
         q_star=q_star,
         n_admissible=(q_star - 1) % (fr.ring.n - 1) == 0,
         zeroless=zero is None,
         nonunital=not units,
+        orbits=orbits,
     )
 
 

@@ -2,18 +2,18 @@
 
 Cyclic subgroups generated by polyadic powers, the split between them
 and the subgroup of units, primitive elements, and reflections (elements
-a power of which lands on a unit).  Subgroups and reflections are read off
-`finite.power_orbit`, primitive elements off the structure report's
-element orders.
+a power of which lands on a unit).  Every function here takes the ring's
+`finite.StructureReport` and reads it: subgroups and reflections off its
+power orbits, primitive elements off its element orders.  Nothing is
+walked again and nothing is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotAFieldError, NoUnitsError
-from .finite import FiniteRing, StructureReport, power_orbit, structure_report
+from .finite import FiniteRing, StructureReport
 
 
 @dataclass(frozen=True)
@@ -29,24 +29,23 @@ class GroupDecomposition:
     reflections: tuple[tuple[int, int], ...]
 
 
-def _require_field(fr: FiniteRing) -> None:
-    if not structure_report(fr).is_field:
-        raise NotAFieldError(f"{fr!r} is not a polyadic field")
+def _require_field(report: StructureReport) -> None:
+    if not report.is_field:
+        raise NotAFieldError(f"{report.ring!r} is not a polyadic field")
 
 
-def cyclic_subgroup(fr: FiniteRing, k: int) -> frozenset[int]:
+def cyclic_subgroup(report: StructureReport, k: int) -> frozenset[int]:
     """The cyclic n-ary subgroup generated by a non-zero element."""
-    _require_field(fr)
-    report = structure_report(fr)
+    _require_field(report)
     if report.zero == k:
         raise ValueError("the zero generates no multiplicative subgroup")
-    return frozenset(power_orbit(fr, k))
+    return frozenset(report.orbits[k])
 
 
-def _nonunit_orbits(fr: FiniteRing, report: StructureReport) -> dict[int, tuple[int, ...]]:
+def _nonunit_orbits(report: StructureReport) -> dict[int, tuple[int, ...]]:
     """The power orbit of every element that is neither a unit nor the zero."""
     units = set(report.units)
-    return {k: power_orbit(fr, k) for k in fr.elements()
+    return {k: walk for k, walk in enumerate(report.orbits)
             if k not in units and k != report.zero}
 
 
@@ -61,18 +60,16 @@ def _reflection_map(orbits: dict[int, tuple[int, ...]], units: set[int]) -> dict
     return out
 
 
-def reflections(fr: FiniteRing) -> dict[int, int]:
+def reflections(report: StructureReport) -> dict[int, int]:
     """Least l per non-unit with the l-th power on a unit; absent if never."""
-    report = structure_report(fr)
     if not report.units:
-        raise NoUnitsError(f"{fr!r} has no unit")
-    return _reflection_map(_nonunit_orbits(fr, report), set(report.units))
+        raise NoUnitsError(f"{report.ring!r} has no unit")
+    return _reflection_map(_nonunit_orbits(report), set(report.units))
 
 
-def primitive_elements(fr: FiniteRing) -> tuple[frozenset[int], int]:
+def primitive_elements(report: StructureReport) -> tuple[frozenset[int], int]:
     """Non-zero elements whose idempotence order is the full reduced order."""
-    _require_field(fr)
-    report = structure_report(fr)
+    _require_field(report)
     prim = frozenset(
         k for k, order in enumerate(report.element_orders)
         if k != report.zero and order == report.q_star
@@ -80,20 +77,18 @@ def primitive_elements(fr: FiniteRing) -> tuple[frozenset[int], int]:
     return prim, len(prim)
 
 
-@lru_cache(maxsize=None)
-def decompose(fr: FiniteRing) -> GroupDecomposition:
+def decompose(report: StructureReport) -> GroupDecomposition:
     """Collect the maximal cyclic subgroups and measure how they fit together.
 
     Subgroups are generated by non-unit, non-zero elements; the units form
     their own subgroup reported separately.  All flags are computed, never
     assumed: disjointness and coverage may legitimately fail.
     """
-    _require_field(fr)
-    report = structure_report(fr)
+    _require_field(report)
     units = set(report.units)
     zero = report.zero
-    nonzero = {k for k in fr.elements() if k != zero}
-    orbits = _nonunit_orbits(fr, report)
+    nonzero = {k for k in report.ring.elements() if k != zero}
+    orbits = _nonunit_orbits(report)
     candidates = {frozenset(walk) for walk in orbits.values()}
     maximal = [g for g in candidates if not any(g < h for h in candidates)]
     subgroups = tuple(sorted((tuple(sorted(g)) for g in maximal), key=lambda g: g[0]))
@@ -105,10 +100,10 @@ def decompose(fr: FiniteRing) -> GroupDecomposition:
     union = set().union(*subgroups) if subgroups else set()
     covers = union | units == nonzero
     split = all(not units & set(g) for g in subgroups)
-    prim, kappa = primitive_elements(fr)
+    prim, kappa = primitive_elements(report)
     refl = _reflection_map(orbits, units)
     return GroupDecomposition(
-        ring=fr,
+        ring=report.ring,
         subgroups=subgroups,
         unit_subgroup=tuple(sorted(units)),
         unit_subgroup_split=split,

@@ -1,11 +1,15 @@
 """Classification tables and the exotic-field listings.
 
 Everything here is regenerated from the finite-ring scans; nothing is
-hand-entered.  Renderers emit JSON (sorted keys, newline-terminated),
-CSV and Markdown.  Markdown encodes typography as explicit markers:
-framed (zeroless-nonunital) cells as [zl-nu], unit-plus-zero as a *
-prefix (or [z+e] on element lists), an n-admissible reduced order as a
-trailing _, and non-fields in the characteristic table as (nf).
+hand-entered.  Each ring is classified by one `finite.structure_report`
+call, serially in (b, a, q) order, and nothing is kept between calls.
+Renderers emit JSON (sorted keys, newline-terminated), CSV and Markdown;
+`render_tables` maps each T*.{json,csv,md} file name to its text, for
+both `write_tables` and the `table` command.  Markdown encodes typography
+as explicit markers: framed (zeroless-nonunital) cells as [zl-nu],
+unit-plus-zero as a * prefix (or [z+e] on element lists), an
+n-admissible reduced order as a trailing _, and non-fields in the
+characteristic table as (nf).
 
 A deviation scanner compares the generated cells against the published
 reference tables and writes every difference, adjudicated or not, to
@@ -18,7 +22,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,23 +32,6 @@ from .groups import decompose
 from .ring import allowed_residues, make_descriptor
 
 APPENDIX_FIELDS = ((5, 6, 6), (5, 6, 4), (3, 8, 2), (7, 8, 2), (2, 3, 5))
-
-
-def thread_count() -> int:
-    """Worker cap from POLYADIC_THREADS; scans stay deterministic regardless."""
-    try:
-        return max(1, int(os.environ.get("POLYADIC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _reports(cells: list[tuple[int, int, int]]) -> list[StructureReport]:
-    workers = thread_count()
-    make = lambda abq: structure_report(finite_ring(*abq))
-    if workers == 1:
-        return [make(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(make, cells))
 
 
 def grid_pairs(b_max: int) -> list[tuple[int, int]]:
@@ -95,8 +81,8 @@ def _t2_cell(report: StructureReport) -> T2Cell:
 
 
 def generate_t2(b_max: int = 10, q_max: int = 10) -> list[T2Cell]:
-    cells = [(a, b, q) for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)]
-    return [_t2_cell(r) for r in _reports(cells)]
+    return [_t2_cell(structure_report(finite_ring(a, b, q)))
+            for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)]
 
 
 # ---------------------------------------------------------------- T0
@@ -114,14 +100,14 @@ class T0Cell:
 
 def generate_t0(b_max: int = 6, q_max: int = 10) -> list[T0Cell]:
     """Rings with both unit(s) and zero, with their polyadic characteristic."""
-    cells = [(a, b, q) for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)]
     out = []
-    for report in _reports(cells):
-        if report.zero is None or not report.units:
-            continue
-        fr = report.ring
-        d = fr.ring
-        out.append(T0Cell(d.a, d.b, d.m, d.n, fr.q, report.chi_p, report.is_field))
+    for a, b in grid_pairs(b_max):
+        for q in range(2, q_max + 1):
+            report = structure_report(finite_ring(a, b, q))
+            if report.zero is None or not report.units:
+                continue
+            d = report.ring.ring
+            out.append(T0Cell(d.a, d.b, d.m, d.n, q, report.chi_p, report.is_field))
     return out
 
 
@@ -194,7 +180,7 @@ def generate_appendix(a: int, b: int, q: int) -> dict:
         hits = mult_querelements(fr, k)
         if len(hits) == 1:
             quers[fr.rep(k)] = fr.rep(hits[0])
-    dec = decompose(fr)
+    dec = decompose(report)
     return {
         "a": a,
         "b": b,
@@ -485,6 +471,24 @@ def deviations_report() -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_tables() -> dict[str, str]:
+    """Text of T2, T0 and T1 as JSON, CSV and Markdown, keyed by file name."""
+    t2 = generate_t2()
+    t0 = generate_t0()
+    cells1, orders1 = generate_t1()
+    return {
+        "T2.json": t2_to_json(t2),
+        "T2.csv": t2_to_csv(t2),
+        "T2.md": t2_to_md(t2),
+        "T0.json": t0_to_json(t0),
+        "T0.csv": t0_to_csv(t0),
+        "T0.md": t0_to_md(t0),
+        "T1.json": t1_to_json(cells1, orders1),
+        "T1.csv": t1_to_csv(cells1, orders1),
+        "T1.md": t1_to_md(cells1, orders1),
+    }
+
+
 def write_tables(outdir: str) -> list[str]:
     """Write tables/T*.{json,csv,md}, appendix listings and deviations.md."""
     tdir = os.path.join(outdir, "tables")
@@ -497,18 +501,8 @@ def write_tables(outdir: str) -> list[str]:
             f.write(text)
         written.append(path)
 
-    t2 = generate_t2()
-    emit("T2.json", t2_to_json(t2))
-    emit("T2.csv", t2_to_csv(t2))
-    emit("T2.md", t2_to_md(t2))
-    t0 = generate_t0()
-    emit("T0.json", t0_to_json(t0))
-    emit("T0.csv", t0_to_csv(t0))
-    emit("T0.md", t0_to_md(t0))
-    cells1, orders1 = generate_t1()
-    emit("T1.json", t1_to_json(cells1, orders1))
-    emit("T1.csv", t1_to_csv(cells1, orders1))
-    emit("T1.md", t1_to_md(cells1, orders1))
+    for name, text in render_tables().items():
+        emit(name, text)
     for (a, b, q) in APPENDIX_FIELDS:
         emit(f"appendix_{a}_{b}_{q}.md", appendix_to_md(generate_appendix(a, b, q)))
     emit("deviations.md", deviations_report())

@@ -200,19 +200,19 @@ def test_criterion_4_appendix_fidelity():
 
         # subgroup decompositions of the three catalogued fields
         fr = finite_ring(5, 6, 6)
-        dec = decompose(fr)
+        dec = decompose(structure_report(fr))
         gs = [sorted(fr.rep(t) for t in g) for g in dec.subgroups]
         assert gs == [[5, 17, 29], [11, 23, 35]] and dec.pairwise_disjoint
 
         fr = finite_ring(5, 8, 7)
-        dec = decompose(fr)
+        dec = decompose(structure_report(fr))
         gs = [sorted(fr.rep(t) for t in g) for g in dec.subgroups]
         assert gs == [[5, 13, 45], [29, 37, 53]]
         assert sorted(fr.rep(t) for t in dec.unit_subgroup) == [13, 29]
         assert not dec.unit_subgroup_split
 
         fr = finite_ring(7, 8, 8)
-        dec = decompose(fr)
+        dec = decompose(structure_report(fr))
         gs = [sorted(fr.rep(t) for t in g) for g in dec.subgroups]
         assert gs == [[7, 23, 39, 55], [15, 47]]
         assert sorted(fr.rep(t) for t in dec.unit_subgroup) == [31, 63]
@@ -361,7 +361,7 @@ def test_criterion_9_property_suites(
             if not is_field(fr):
                 continue
             rep = structure_report(fr)
-            dec = decompose(fr)
+            dec = decompose(rep)
             if rep.kappa_e < 2 or not dec.pairwise_disjoint:
                 continue
             union = set()

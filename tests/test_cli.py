@@ -45,6 +45,29 @@ class TestExamples:
         code, _, _ = run_main(capsys, "appendix", "--a", "1", "--b", "2", "--q", "3")
         assert code == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["finite", "--a", "5", "--b", "8", "--q", "2", "--format", "csv"],
+        ["group", "--a", "7", "--b", "8", "--q", "8", "--format", "md"],
+        ["arity", "--a", "3", "--b", "4", "--format", "json"],
+        ["appendix", "--a", "2", "--b", "3", "--q", "5", "--format", "text"],
+        ["table", "--format", "text"],
+    ])
+    def test_format_without_effect_exits_4(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+
+    def test_negative_kmax_exits_4(self, capsys):
+        code, out, err = run_main(
+            capsys, "primes", "--a", "43", "--b", "44", "--kmax", "-3")
+        assert code == 4 and out == "" and "k_max" in err
+
+    def test_negative_radius_exits_4(self, capsys):
+        code, out, err = run_main(
+            capsys, "remainder", "--a", "8", "--b", "10",
+            "--dividend", "38", "--divisor", "-22", "--radius", "-100")
+        assert code == 4 and out == "" and "radius" in err
+
 
 class TestPayloads:
     def test_primes_json(self, capsys):
@@ -121,6 +144,18 @@ class TestTableCommand:
         assert "Polyadic characteristics" in out
         assert "Idempotence orders" in out
         assert "| 10 | 9 |" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    def test_stdout_mode_matches_the_golden_files(self, capsys, fmt):
+        golden = os.path.join(os.path.dirname(__file__), "golden", "tables")
+        texts = []
+        for table in ("T0", "T1", "T2"):
+            with open(os.path.join(golden, f"{table}.{fmt}"), encoding="utf-8",
+                      newline="") as f:
+                texts.append(f.read())
+        code, out, _ = run_main(capsys, "table", "--format", fmt)
+        assert code == 0
+        assert out == ("\n" if fmt == "md" else "").join(texts)
 
     def test_out_mode_matches_the_golden_files(self, capsys, tmp_path):
         golden = os.path.join(os.path.dirname(__file__), "golden", "tables")

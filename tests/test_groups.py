@@ -1,6 +1,11 @@
-import pytest
+import sys
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
+import pytest
+
+import polyadic.finite
+from conftest import scan_rings
 from polyadic.errors import NotAFieldError, NoUnitsError
 from polyadic.finite import finite_ring, is_field, k_mul, structure_report
 from polyadic.groups import (
@@ -19,39 +24,39 @@ def reps(fr, ks):
 class TestCyclicSubgroups:
     def test_generated_orbits(self):
         fr = finite_ring(2, 3, 3)
-        assert reps(fr, cyclic_subgroup(fr, 0)) == [2, 5, 8]
+        assert reps(fr, cyclic_subgroup(structure_report(fr), 0)) == [2, 5, 8]
         fr = finite_ring(5, 8, 7)
-        assert reps(fr, cyclic_subgroup(fr, 0)) == [5, 13, 45]
+        assert reps(fr, cyclic_subgroup(structure_report(fr), 0)) == [5, 13, 45]
 
     def test_unit_generates_itself(self):
         fr = finite_ring(5, 6, 4)
-        assert reps(fr, cyclic_subgroup(fr, 0)) == [5]
+        assert reps(fr, cyclic_subgroup(structure_report(fr), 0)) == [5]
 
     def test_requires_a_field(self):
         with pytest.raises(NotAFieldError):
-            cyclic_subgroup(finite_ring(2, 3, 6), 0)
+            cyclic_subgroup(structure_report(finite_ring(2, 3, 6)), 0)
         with pytest.raises(NotAFieldError):
-            decompose(finite_ring(2, 3, 6))
+            decompose(structure_report(finite_ring(2, 3, 6)))
 
 
 class TestDecomposition:
     def test_two_disjoint_subgroups(self):
         fr = finite_ring(5, 6, 6)
-        dec = decompose(fr)
+        dec = decompose(structure_report(fr))
         assert [reps(fr, g) for g in dec.subgroups] == [[5, 17, 29], [11, 23, 35]]
         assert dec.pairwise_disjoint and dec.covers
         assert not dec.unit_subgroup_split  # units 17 and 35 sit inside G1, G2
 
     def test_split_unit_subgroup(self):
         fr = finite_ring(7, 8, 8)
-        dec = decompose(fr)
+        dec = decompose(structure_report(fr))
         assert [reps(fr, g) for g in dec.subgroups] == [[7, 23, 39, 55], [15, 47]]
         assert reps(fr, dec.unit_subgroup) == [31, 63]
         assert dec.unit_subgroup_split and dec.covers and dec.pairwise_disjoint
 
     def test_unsplit_unit_subgroup_with_zero(self):
         fr = finite_ring(5, 8, 7)
-        dec = decompose(fr)
+        dec = decompose(structure_report(fr))
         assert [reps(fr, g) for g in dec.subgroups] == [[5, 13, 45], [29, 37, 53]]
         assert reps(fr, dec.unit_subgroup) == [13, 29]
         assert not dec.unit_subgroup_split
@@ -59,13 +64,13 @@ class TestDecomposition:
 
     def test_single_cyclic_part_plus_units(self):
         fr = finite_ring(2, 3, 5)
-        dec = decompose(fr)
+        dec = decompose(structure_report(fr))
         assert [reps(fr, g) for g in dec.subgroups] == [[2, 8]]
         assert reps(fr, dec.unit_subgroup) == [11, 14]
         assert dec.unit_subgroup_split and dec.covers
 
     def test_json_payload(self):
-        payload = decomposition_to_dict(decompose(finite_ring(5, 6, 6)))
+        payload = decomposition_to_dict(decompose(structure_report(finite_ring(5, 6, 6))))
         assert set(payload) == {
             "subgroups", "units", "split", "covers", "primitive", "reflections",
         }
@@ -75,26 +80,67 @@ class TestDecomposition:
 class TestPrimitiveElements:
     def test_published_examples(self):
         fr = finite_ring(2, 3, 3)
-        prim, kappa = primitive_elements(fr)
+        prim, kappa = primitive_elements(structure_report(fr))
         assert reps(fr, prim) == [2, 5] and kappa == 2
-        _, kappa = primitive_elements(finite_ring(5, 9, 9))
+        _, kappa = primitive_elements(structure_report(finite_ring(5, 9, 9)))
         assert kappa == 9
 
     def test_all_unit_field_has_none(self):
-        prim, kappa = primitive_elements(finite_ring(5, 6, 4))
+        prim, kappa = primitive_elements(structure_report(finite_ring(5, 6, 4)))
         assert kappa == 0 and not prim
 
 
 class TestReflections:
     def test_published_examples(self):
         fr = finite_ring(5, 8, 7)
-        got = {fr.rep(k): l for k, l in reflections(fr).items()}
+        got = {fr.rep(k): l for k, l in reflections(structure_report(fr)).items()}
         assert got == {5: 1, 45: 1, 37: 1, 53: 1}
-        assert reflections(finite_ring(7, 8, 8)) == {}
+        assert reflections(structure_report(finite_ring(7, 8, 8))) == {}
 
     def test_requires_units(self):
         with pytest.raises(NoUnitsError):
-            reflections(finite_ring(5, 8, 2))
+            reflections(structure_report(finite_ring(5, 8, 2)))
+
+
+class TestOneWalkPerElement:
+    def test_report_walks_each_element_once_and_groups_never(self, monkeypatch):
+        calls = []
+        walk = polyadic.finite.power_orbit
+
+        def counting_walk(fr, k):
+            calls.append(k)
+            return walk(fr, k)
+
+        # Every module that binds the walk, so a by-name import is counted too.
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("polyadic")
+                    and getattr(module, "power_orbit", None) is walk):
+                monkeypatch.setattr(module, "power_orbit", counting_walk)
+        fields = 0
+        for fr in scan_rings(6, 6):
+            calls.clear()
+            report = structure_report(fr)
+            if not report.is_field:
+                continue
+            fields += 1
+            assert sorted(calls) == list(fr.elements()), fr
+            calls.clear()
+            decompose(report)
+            primitive_elements(report)
+            if report.units:
+                reflections(report)
+            for k in fr.elements():
+                if k != report.zero:
+                    cyclic_subgroup(report, k)
+            assert calls == [], fr
+        assert fields > 0
+
+    def test_orbits_stay_out_of_equality(self):
+        fr = finite_ring(5, 8, 7)
+        report = structure_report(fr)
+        assert report == structure_report(fr)
+        assert replace(report, orbits=()) == report
+        assert "orbits" not in repr(report)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +148,7 @@ def field_decompositions(full_grid):
     out = []
     for fr in full_grid:
         if is_field(fr):
-            out.append((fr, structure_report(fr), decompose(fr)))
+            out.append((fr, structure_report(fr), decompose(structure_report(fr))))
     return out
 
 
@@ -114,7 +160,7 @@ class TestScanInvariants:
                     continue
                 from polyadic.finite import element_order
 
-                orbit = cyclic_subgroup(fr, k)
+                orbit = cyclic_subgroup(report, k)
                 assert (len(orbit) == report.q_star) == (
                     element_order(fr, k) == report.q_star
                 )
