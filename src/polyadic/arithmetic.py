@@ -2,16 +2,19 @@
 
 Irreducibility, composition sets, polyadic primes and their gaps, prime
 counting, exact division (with and without remainder), coprimality, and
-the polyadic totient scan.  Everything works on exact integers; factor
-searches are plain trial division, which is all the desk-scale ranges
-here need.
+the polyadic totient scan.  Everything works on exact integers.  Every
+factor search goes through one factorisation primitive, `_prime_factors`
+(the small primes divided out, Miller-Rabin with a strong Lucas test
+above its proved bound in `_is_binary_prime`, Pollard-Brent rho in
+`_rho`); divisors are built from the prime powers, and a decomposition
+factors its value once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import NonUniqueQuotientError, NotLimitingError, NotUnitalError
 from .ring import PolyInt, RingDescriptor
@@ -48,26 +51,214 @@ def irreducibility_gap(ring: RingDescriptor) -> tuple[int, int]:
     return -bound, bound
 
 
-def _abs_divisors(w: int) -> Iterator[int]:
-    # Divisors of |w| >= 2, unordered.
+# The first 13 primes.  A strong probable prime to all of them as bases is
+# prime below _MR_EXACT, the least strong pseudoprime to these bases
+# (Sorenson & Webster 2017); every factor search strips them first.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+
+
+def _is_binary_prime(w: int) -> bool:
+    """Ordinary primality of |w|: Miller-Rabin, then a strong Lucas test.
+
+    Divisibility by a base settles |w| outright, and so does |w| < 43^2
+    once no base divides it.  Otherwise |w| is a strong probable prime to
+    each base in _BASES: writing |w| - 1 = d*2^s with d odd, base^d = 1 or
+    base^(d*2^r) = -1 (mod |w|) for some r < s.  Every prime passes
+    (Fermat, and x^2 = 1 has only the roots +-1 modulo a prime).  Sorenson
+    and Webster (Math. Comp. 86, 2017) proved that no composite below
+    _MR_EXACT = 3.317e24 passes all 13 bases, so the verdict is exact
+    there.  Above that bound the strong Lucas test is added, which makes
+    the whole test at least as strong as Baillie-PSW: no composite is
+    known to pass BPSW, but that is unproved, so above 3.317e24 the
+    verdict is exact only as far as BPSW is.
+    """
     w = abs(w)
-    for d in range(2, isqrt(w) + 1):
-        if w % d == 0:
-            yield d
-            if d != w // d:
-                yield w // d
-    if w >= 2:
-        yield w
+    if w < 2:
+        return False
+    for p in _BASES:
+        if w % p == 0:
+            return w == p
+    if w < 43 * 43:
+        return True
+    d, s = w - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for base in _BASES:
+        x = pow(base, d, w)
+        if x == 1 or x == w - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % w
+            if x == w - 1:
+                break
+        else:
+            return False
+    return w < _MR_EXACT or _strong_lucas(w)
 
 
-def _class_factors(ring: RingDescriptor, w: int) -> list[int]:
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0.
+
+    Each factor 2 taken out of a contributes (2/n) = -1 exactly when
+    n = 3 or 5 (mod 8); swapping a and n flips the sign exactly when both
+    are 3 (mod 4) (reciprocity); and (a/n) depends only on a mod n.  The
+    loop ends at a = 0 with n = gcd of the inputs, and (a/n) = 0 unless
+    that gcd is 1.
+    """
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(w: int) -> bool:
+    """Strong Lucas probable-prime test of an odd w > 43^2 with no base factor.
+
+    Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with
+    (D/w) = -1, P = 1 and Q = (1 - D)/4 (a perfect square has no such D
+    and is composite).  With w + 1 = d*2^s, d odd, a prime w has
+    U_d = 0 or V_(d*2^r) = 0 (mod w) for some r < s.  U and V are built
+    from the bits of d with U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k,
+    U_(k+1) = (U_k + V_k)/2 and V_(k+1) = (D U_k + V_k)/2, halving modulo
+    the odd w.  Why primes pass: in GF(w^2) the roots u, v of
+    x^2 - x + Q are conjugate, so u^w = v and (u/v)^(w+1) = 1, and the
+    repeated square roots of 1 met on the way down from w + 1 to d can
+    only be +-1 in a field.  A composite that passes is a strong Lucas
+    pseudoprime (5459, 5777, ...); none is known that also passes
+    Miller-Rabin to base 2.
+    """
+    if isqrt(w) ** 2 == w:
+        return False
+    D = 5
+    while (j := _jacobi(D, w)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:
+        return False
+    Q = (1 - D) // 4
+    d, s = w + 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    U, V, Qk = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % w, (V * V - 2 * Qk) % w, Qk * Qk % w
+        if bit == "1":
+            U, V = U + V, D * U + V
+            if U & 1:
+                U += w
+            if V & 1:
+                V += w
+            U, V, Qk = U // 2 % w, V // 2 % w, Qk * Q % w
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % w, Qk * Qk % w
+        if V == 0:
+            return True
+    return False
+
+
+def _rho(w: int) -> int:
+    """A proper divisor of the composite w > 43^2, by Pollard-Brent rho.
+
+    Brent (BIT 20, 1980): iterate y -> y^2 + c (mod w); each round saves
+    x, skips r steps, then multiplies x - y over the next r steps into
+    batches whose gcd with w is taken every 128 steps, and doubles r.  A
+    round compares terms r+1 to 2r apart, so modulo a prime p | w, whose
+    sequence is eventually periodic with period at most p, some batch has
+    gcd > 1 once r reaches the period and x lies on the cycle.  A batch
+    with gcd w is replayed one step at a time; if a single step still
+    gives w, every prime's cycle closed at once and the next c is tried.
+    Any g with 1 < g < w is a proper divisor, so the result is exact;
+    only the running time is heuristic: about sqrt(p) steps for the
+    smallest prime p | w, so about w^(1/4) at worst.
+    """
+    for c in range(1, w):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % w
+            k = 0
+            while k < r and g == 1:
+                ys, prod = y, 1
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % w
+                    prod = prod * (x - y) % w
+                g = gcd(prod, w)
+                k += 128
+            r *= 2
+        if g == w:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % w
+                g = gcd(x - ys, w)
+        if g != w:
+            return g
+    raise ValueError(f"{w} is not composite")
+
+
+def _prime_factors(w: int) -> dict[int, int]:
+    """The factorisation {p: e} of |w| >= 1.
+
+    The bases are divided out first; what is left splits at `_rho` until
+    each part passes `_is_binary_prime`.  There is no loop up to the
+    square root: the cost is a few modular powers per prime factor plus
+    the rho steps of each split.
+    """
+    w = abs(w)
+    if w == 0:
+        raise ValueError("0 has no factorisation")
+    out: dict[int, int] = {}
+    for p in _BASES:
+        while w % p == 0:
+            out[p] = out.get(p, 0) + 1
+            w //= p
+    parts = [w] if w > 1 else []
+    while parts:
+        v = parts.pop()
+        if _is_binary_prime(v):
+            out[v] = out.get(v, 0) + 1
+        else:
+            d = _rho(v)
+            parts += [d, v // d]
+    return out
+
+
+def _abs_divisors(w: int, primes: Iterable[int]) -> list[int]:
+    """Divisors of |w| >= 2, built from the prime powers of |w|.
+
+    `primes` must include every prime factor of w (a superset is fine):
+    each divisor is a product of p^i with 0 <= i <= v_p(w), and every
+    such product appears exactly once.
+    """
+    w = abs(w)
+    divisors = [1]
+    for p in primes:
+        powers = [1]
+        while w % p == 0:
+            w //= p
+            powers.append(powers[-1] * p)
+        divisors = [d * pp for d in divisors for pp in powers]
+    return divisors[1:]
+
+
+def _class_factors(ring: RingDescriptor, w: int, primes: Iterable[int]) -> list[int]:
     """Signed divisors f of w with |f| >= 2 and f in the class.
 
     Unit representatives (|f| = 1) never qualify, which is exactly the
     exclusion the composite-number definition needs.
     """
     out = []
-    for d in _abs_divisors(w):
+    for d in _abs_divisors(w, primes):
         for f in (d, -d):
             if ring.contains(f):
                 out.append(f)
@@ -78,29 +269,36 @@ def _key(f: int) -> tuple[int, int]:
     return abs(f), f
 
 
-def _multisets(ring: RingDescriptor, target: int, slots: int, floor: tuple[int, int]):
-    """Non-decreasing factor tuples of given length with exact product `target`."""
+def _multisets(ring: RingDescriptor, target: int, slots: int, floor: tuple[int, int],
+               primes: tuple[int, ...]):
+    """Non-decreasing factor tuples of given length with exact product `target`.
+
+    `primes` holds the prime factors of the top-level value; every
+    intermediate target divides it, so its divisors come from the same
+    primes and nothing is factored again below the top.
+    """
     if slots == 1:
         if abs(target) >= 2 and ring.contains(target) and _key(target) >= floor:
             yield (target,)
         return
     if abs(target) < 2**slots:
         return
-    for f in sorted(_class_factors(ring, target), key=_key):
+    for f in sorted(_class_factors(ring, target, primes), key=_key):
         if _key(f) < floor:
             continue
         if abs(f) ** slots > abs(target):
             break
-        if target % f == 0:
-            for rest in _multisets(ring, target // f, slots - 1, _key(f)):
-                yield (f,) + rest
+        for rest in _multisets(ring, target // f, slots - 1, _key(f), primes):
+            yield (f,) + rest
 
 
 def decompositions(x: PolyInt, depth: int = _DEFAULT_DEPTH) -> list[tuple[PolyInt, ...]]:
     """All factor multisets with admissible length l*(n-1)+1 for l = 1..depth.
 
     Factors are class members with |value| >= 2 (units never appear), so
-    the trivial unit-padded expansion is excluded by construction.
+    the trivial unit-padded expansion is excluded by construction.  x is
+    factored once; the factors are the class members among the signed
+    divisors of x.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -113,11 +311,12 @@ def decompositions(x: PolyInt, depth: int = _DEFAULT_DEPTH) -> list[tuple[PolyIn
                      if abs(ring.a + ring.b * k) >= 2)
         found.append(tuple([x] + [ring.from_value(other)] * (ring.n - 1)))
         return found
+    primes = tuple(_prime_factors(v))
     for l in range(1, depth + 1):
         slots = l * (ring.n - 1) + 1
         if 2**slots > abs(v):
             break
-        for values in _multisets(ring, v, slots, (0, 0)):
+        for values in _multisets(ring, v, slots, (0, 0), primes):
             found.append(tuple(ring.from_value(f) for f in values))
     return found
 
@@ -134,7 +333,8 @@ def is_composite(x: PolyInt) -> bool:
     slots = ring.n
     if 2**slots > abs(x.value):
         return False
-    for _ in _multisets(ring, x.value, slots, (0, 0)):
+    primes = tuple(_prime_factors(x.value))
+    for _ in _multisets(ring, x.value, slots, (0, 0), primes):
         return True
     return False
 
@@ -189,16 +389,6 @@ def primes_gap(ring: RingDescriptor) -> tuple[int, int]:
     if ring.a == b - 1 and ring.n == 3:
         return -((b - 1) ** 2), b**2 - 1
     raise NotLimitingError(f"{ring!r} is not one of the limiting shapes")
-
-
-def _is_binary_prime(w: int) -> bool:
-    w = abs(w)
-    if w < 2:
-        return False
-    for d in range(2, isqrt(w) + 1):
-        if w % d == 0:
-            return False
-    return True
 
 
 def prime_scan(ring: RingDescriptor, k_max: int) -> PrimeScan:
@@ -281,26 +471,32 @@ def divide_with_remainder(
 ) -> list[tuple[PolyInt, PolyInt]]:
     """All (q, r) with x1 = x2*q^(n-1) + (m-1)*r and both q, r in the class.
 
-    The remainder equation is linear in r, so only q is searched, over
-    |k_q| <= search_radius (default |k of x1| + 64).  Results may be
-    legitimately non-unique; the list is ordered by k_q.
+    The remainder equation is linear in r, so only q = a + b*k_q is
+    searched, over |k_q| <= search_radius (default |k of x1| + 64).
+    Results may be legitimately non-unique; the list is ordered by k_q.
+
+    Only the residues of k_q modulo w = m - 1 are tested.  With
+    t = x1 - x2*q^(n-1), r = t/w is an integer in [[a]]_b exactly when
+    t = a*w (mod b*w).  Since b*w divides b*(k_q - k_q mod w), q is
+    congruent to a + b*(k_q mod w) modulo b*w, so t mod b*w, and with it
+    the verdict, depends on k_q only through k_q mod w.  The first w
+    indices of the range carry every residue that occurs in it.
     """
     ring = x1.ring
     if ring != x2.ring:
         raise ValueError("dividend and divisor belong to different rings")
     if search_radius is None:
         search_radius = abs(x1.k) + 64
-    e = ring.n - 1
-    weight = ring.m - 1
+    a, b, e, w = ring.a, ring.b, ring.n - 1, ring.m - 1
+    v1, v2, mod = x1.value, x2.value, b * w
+    first = range(-search_radius, min(-search_radius + w, search_radius + 1))
+    hits = sorted(k for k0 in first
+                  if (v1 - v2 * pow(a + b * k0, e, mod) - a * w) % mod == 0
+                  for k in range(k0, search_radius + 1, w))
     pairs = []
-    for k_q in range(-search_radius, search_radius + 1):
-        q = ring.element(k_q)
-        t = x1.value - x2.value * q.value**e
-        if t % weight != 0:
-            continue
-        r = t // weight
-        if ring.contains(r):
-            pairs.append((q, ring.from_value(r)))
+    for k in hits:
+        r = (v1 - v2 * (a + b * k) ** e) // w
+        pairs.append((PolyInt(ring, k), PolyInt(ring, (r - a) // b)))
     return pairs
 
 

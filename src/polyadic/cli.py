@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 forbidden residue pair, 3 not a field where a
-field is required, 4 bad arguments.  Output is deterministic for a given
-argv: scans classify one ring at a time in (b, a, q) order.  Each command
-accepts only the --format values that change its output (`_FORMATS`).
+field is required, 4 bad arguments, 5 the --out path cannot be written.
+Output is deterministic for a given argv: scans classify one ring at a
+time in (b, a, q) order and write each line as soon as it is made.  Each
+command accepts only the --format values that change its output
+(`_FORMATS`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from .arithmetic import (
     divide_with_remainder,
@@ -101,12 +104,13 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterator[str], out: str | None) -> None:
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_arity(args) -> str:
@@ -247,9 +251,14 @@ def _cmd_appendix(args) -> str:
     return appendix_to_md(listing)
 
 
-def _cmd_scan(args) -> str:
-    return "".join(_report_line(a, b, q)
-                   for a, b in grid_pairs(args.bmax) for q in range(2, args.qmax + 1))
+def _cmd_scan(args) -> Iterator[str]:
+    # Lines are written as they are made, so no scan holds its whole output.
+    if args.bmax < 1:
+        raise ValueError("bmax must be >= 1")
+    if args.qmax < 2:
+        raise ValueError("qmax must be >= 2")
+    return (_report_line(a, b, q)
+            for a, b in grid_pairs(args.bmax) for q in range(2, args.qmax + 1))
 
 
 def main(argv=None) -> int:
@@ -269,7 +278,7 @@ def main(argv=None) -> int:
             "appendix": _cmd_appendix,
             "scan": _cmd_scan,
         }[args.command]
-        _emit(handler(args), getattr(args, "out", None))
+        _emit(handler(args), args.out)
         return 0
     except ForbiddenPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -280,6 +289,11 @@ def main(argv=None) -> int:
     except (UnknownFieldIdError, ValueError, PolyadicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        if not args.out:  # only --out is written by the program itself
+            raise
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

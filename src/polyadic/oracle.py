@@ -2,8 +2,9 @@
 
 These deliberately share no code with the main paths: arities come from
 a plain double scan, index multiplication from the literal
-symmetric-polynomial expansion, and the zero, the units and the field
-check from exhaustive tuple enumeration.  Tests use them as the arbiter
+symmetric-polynomial expansion, the zero, the units and the field
+check from exhaustive tuple enumeration, and divisors and primality
+from trial division up to the square root.  Tests use them as the arbiter
 wherever the main path uses a closed form or a pruned search.
 
 The subset field search behind `proper_subfields` lives here too: only
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import isqrt
 from typing import Optional, Sequence
 
 from .errors import ForbiddenPairError
@@ -40,6 +42,19 @@ def oracle_arity(a: int, b: int) -> tuple[int, int]:
         if pow(a, n, b) == a % b:
             return m, n
     raise ForbiddenPairError(a, b)
+
+
+def oracle_divisors(w: int) -> list[int]:
+    """Positive divisors of |w| >= 1 in increasing order, by trial division."""
+    w = abs(w)
+    low = [d for d in range(1, isqrt(w) + 1) if w % d == 0]
+    return low + [w // d for d in reversed(low) if d * d != w]
+
+
+def oracle_is_prime(w: int) -> bool:
+    """|w| is prime: at least 2 and no divisor from 2 up to its square root."""
+    w = abs(w)
+    return w >= 2 and all(w % d for d in range(2, isqrt(w) + 1))
 
 
 def oracle_kmult(fr: FiniteRing, ks) -> int:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import time
 from math import gcd
 
 import pytest
@@ -17,7 +20,9 @@ from polyadic.arithmetic import (
     prime_scan,
     primes_gap,
 )
+from polyadic.arithmetic import _is_binary_prime, _prime_factors, _strong_lucas
 from polyadic.errors import NotLimitingError, NotUnitalError
+from polyadic.oracle import oracle_is_prime
 from polyadic.ring import make_descriptor, mu, nu
 
 EVEN_RING = make_descriptor(8, 10)  # (6,5)-ring of even representatives
@@ -275,3 +280,127 @@ class TestEulerScan:
         ring = make_descriptor(0, 1)
         for k in range(2, 40):
             assert euler_scan(ring, k)[1] == 2 * totient(k)
+
+
+class TestFactorisation:
+    # Composites that fool Miller-Rabin on a prefix of the prime bases: the
+    # least strong pseudoprimes to the first 4, 9, 12 and 13 primes.  The
+    # last one passes all 13 bases, so only the strong Lucas test rejects it.
+    PSEUDOPRIMES = {
+        3215031751: {151: 1, 751: 1, 28351: 1},
+        3825123056546413051: {149491: 1, 747451: 1, 34233211: 1},
+        318665857834031151167461: {399165290221: 1, 798330580441: 1},
+        3317044064679887385961981: {1287836182261: 1, 2575672364521: 1},
+    }
+
+    @pytest.mark.parametrize("w, factors", [
+        *PSEUDOPRIMES.items(),
+        (561, {3: 1, 11: 1, 17: 1}),  # Carmichael number
+        ((10**9 + 7) ** 2, {10**9 + 7: 2}),
+        ((2**61 - 1) * (10**9 + 7), {2**61 - 1: 1, 10**9 + 7: 1}),
+    ])
+    def test_hard_composites(self, w, factors):
+        assert not _is_binary_prime(w) and not _is_binary_prime(-w)
+        assert _prime_factors(-w) == factors
+        assert all(oracle_is_prime(p) for p in factors if p < 10**12)
+
+    def test_prime_near_10_to_18(self):
+        p = 10**18 + 3
+        assert _is_binary_prime(p) and _is_binary_prime(-p)
+        assert _prime_factors(p) == {p: 1}
+        assert _prime_factors(p * 2**61) == {2: 61, p: 1}
+        # Independent Lucas certificate: 2 has order p - 1 modulo p.
+        qs = (2, 3, 17, 131, 1427, 52445056723)
+        assert 2 * 3 * 17 * 131 * 1427 * 52445056723 == p - 1
+        assert all(oracle_is_prime(q) for q in qs)
+        assert pow(2, p - 1, p) == 1
+        assert all(pow(2, (p - 1) // q, p) != 1 for q in qs)
+
+    def test_beyond_the_proved_bound(self):
+        # Mersenne primes above 3.317e24 and composites built from them.
+        for e in (89, 107, 127):
+            assert _is_binary_prime(2**e - 1)
+        assert not _is_binary_prime((2**89 - 1) ** 2)
+        assert not _is_binary_prime((2**61 - 1) * (2**89 - 1))
+        assert _prime_factors((2**89 - 1) * 3**5) == {3: 5, 2**89 - 1: 1}
+
+    def test_strong_lucas_matches_its_definition(self):
+        # Every prime passes; the composites that pass below 2*10^4 are the
+        # published strong Lucas pseudoprimes with Selfridge's parameters.
+        passing = [w for w in range(43**2, 2 * 10**4, 2)
+                   if all(w % p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+                   and _strong_lucas(w)]
+        assert [w for w in passing if not oracle_is_prime(w)] == [5459, 5777, 10877, 16109, 18971]
+        assert all(_strong_lucas(w) for w in range(43**2, 2 * 10**4, 2)
+                   if oracle_is_prime(w))
+
+    def test_zero_has_no_factorisation(self):
+        with pytest.raises(ValueError):
+            _prime_factors(0)
+
+
+def partitions(total, parts, least=1):
+    """Number of partitions of `total` into exactly `parts` parts >= least."""
+    if parts == 0:
+        return int(total == 0)
+    return sum(partitions(total - first, parts - 1, first)
+               for first in range(least, total // parts + 1))
+
+
+class TestLargeDecompositions:
+    RING = make_descriptor(3, 4)  # n = 3
+
+    def test_power_of_three_finishes(self):
+        # The class members dividing 3^41 are -(-3)^j, j >= 1, so each
+        # decomposition is a partition of 41 into 3, 5 or 7 parts.
+        x = self.RING.from_value(3**41)
+        start = time.perf_counter()
+        decs = decompositions(x)
+        assert time.perf_counter() - start < 30
+        assert len(decs) == sum(partitions(41, s) for s in (3, 5, 7))
+        assert len({tuple(f.value for f in d) for d in decs}) == len(decs)
+        for dec in decs:
+            assert len(dec) >= 3 and (len(dec) - 1) % 2 == 0
+            product = 1
+            for f in dec:
+                assert f.value % 4 == 3 and abs(f.value) >= 2
+                product *= f.value
+            assert product == 3**41
+
+    # sha256 of the JSON list of decompositions, in the order returned,
+    # as computed by the trial-division search this code replaced.
+    DIGESTS = {
+        21: "bf66a20a3f4aec93543e5de15984ed47e3fbac39051039364b8653ad116c3844",
+        22: "18f3ea14192f846f1829a48cab6f8a996ab012c755f50f759d1992cdf04f26ea",
+        23: "df2f9d4ef56b707398ecc07487459d21e2c9b6fb94499d55b736d222f41c863b",
+        24: "864093d5f474ac61e09167b5881a109b2df4a54676c9bc21d9de40c97ddf015e",
+        25: "70455fa7deed05f4fa878fca58744883906fcd8b058439a12ee8d399c2872c1b",
+    }
+
+    @pytest.mark.parametrize("e", sorted(DIGESTS))
+    def test_powers_of_three_unchanged(self, e):
+        x = self.RING.from_value(3**e if e % 2 else -(3**e))
+        got = [[f.value for f in dec] for dec in decompositions(x)]
+        assert len(got) == sum(partitions(e, s) for s in (3, 5, 7))
+        text = json.dumps(got, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[e]
+
+
+class TestRemainderResidues:
+    @pytest.mark.parametrize("pair", [(8, 10), (3, 4), (2, 7), (1, 13), (0, 1), (4, 6)])
+    def test_matches_the_plain_search(self, pair):
+        # m - 1 is 5, 4, 7, 13, 1 and 3 here; radii below and above m - 1.
+        ring = make_descriptor(*pair)
+        w, e = ring.m - 1, ring.n - 1
+        for k1 in range(-30, 31, 7):
+            for k2 in range(-9, 10, 4):
+                x1, x2 = ring.element(k1), ring.element(k2)
+                for radius in (0, 1, 2, 5, 40):
+                    expected = []
+                    for k in range(-radius, radius + 1):
+                        q = ring.a + ring.b * k
+                        r, rest = divmod(x1.value - x2.value * q**e, w)
+                        if rest == 0 and ring.contains(r):
+                            expected.append((q, r))
+                    got = divide_with_remainder(x1, x2, radius)
+                    assert [(q.value, r.value) for q, r in got] == expected

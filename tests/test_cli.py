@@ -68,6 +68,27 @@ class TestExamples:
             "--dividend", "38", "--divisor", "-22", "--radius", "-100")
         assert code == 4 and out == "" and "radius" in err
 
+    @pytest.mark.parametrize("bounds, message", [
+        (("-5", "4"), "bmax"),
+        (("0", "0"), "bmax"),
+        (("4", "-2"), "qmax"),
+        (("4", "1"), "qmax"),
+    ])
+    def test_scan_bounds_below_the_grid_exit_4(self, capsys, bounds, message):
+        code, out, err = run_main(
+            capsys, "scan", "--bmax", bounds[0], "--qmax", bounds[1])
+        assert code == 4 and out == "" and message in err
+
+    def test_unwritable_out_exits_5(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for argv in (["table", "--out", str(blocker / "dir")],
+                     ["scan", "--bmax", "2", "--qmax", "2", "--out", str(tmp_path)],
+                     ["arity", "--a", "3", "--b", "4", "--out", str(blocker / "x")]):
+            code, out, err = run_main(capsys, *argv)
+            assert code == 5 and out == "", argv
+            assert err.startswith("error: cannot write ") and err.count("\n") == 1, argv
+
 
 class TestPayloads:
     def test_primes_json(self, capsys):

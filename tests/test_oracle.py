@@ -1,12 +1,15 @@
 import pytest
 
 from conftest import scan_rings
+from polyadic.arithmetic import _abs_divisors, _is_binary_prime, _prime_factors
 from polyadic.errors import ForbiddenPairError
 from polyadic.finite import find_units, find_zero, finite_ring, is_field
 from polyadic.oracle import (
     oracle_arity,
+    oracle_divisors,
     oracle_group_axioms,
     oracle_is_field,
+    oracle_is_prime,
     oracle_kmult,
     oracle_units,
     oracle_zero,
@@ -90,3 +93,15 @@ class TestOracleZeroAndUnits:
         for fr in rings:
             assert oracle_zero(fr) == find_zero(fr), fr
             assert oracle_units(fr) == find_units(fr), fr
+
+
+class TestOracleFactorisation:
+    def test_agrees_with_the_factorisation_up_to_10_to_5(self):
+        for w in range(1, 10**5 + 1):
+            factors = _prime_factors(w)
+            product = 1
+            for p, e in factors.items():
+                product *= p**e
+            assert product == w, w
+            assert sorted(_abs_divisors(-w, factors)) == oracle_divisors(w)[1:], w
+            assert _is_binary_prime(w) == _is_binary_prime(-w) == oracle_is_prime(w), w
