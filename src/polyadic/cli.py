@@ -1,11 +1,19 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 forbidden residue pair, 3 not a field where a
-field is required, 4 bad arguments, 5 the --out path cannot be written.
+field is required, 4 bad arguments, 5 the --out path or stdout cannot be
+written (closed pipe, full disk).
 Output is deterministic for a given argv: scans classify one ring at a
 time in (b, a, q) order and write each line as soon as it is made.  Each
 command accepts only the --format values that change its output
 (`_FORMATS`).
+
+Importing this module loads `ring`, `finite`, `groups` and `tables`;
+`arithmetic` is imported by the four handlers that use it (`primes`,
+`euler`, `divide`, `remainder`) and `reference` only by the deviations
+report, so the other commands never compile them.  The benchmark's traced
+child wraps its spans in the modules loaded by `import polyadic.cli`, so
+keep these four imported at module level.
 """
 
 from __future__ import annotations
@@ -15,13 +23,6 @@ import json
 import sys
 from typing import Iterator
 
-from .arithmetic import (
-    divide_with_remainder,
-    euler_scan,
-    polyadic_divide,
-    prime_scan,
-    primes_gap,
-)
 from .errors import (
     ForbiddenPairError,
     NotAFieldError,
@@ -104,13 +105,21 @@ def _build_parser() -> _Parser:
     return p
 
 
+class _StdoutError(Exception):
+    """stdout cannot be written: its reader has gone or its device is full."""
+
+
 def _emit(text: str | Iterator[str], out: str | None) -> None:
     chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8", newline="") as f:
             f.writelines(chunks)
-    else:
+        return
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # so that a full device fails here, not at exit
+    except OSError as exc:
+        raise _StdoutError(exc.strerror or exc) from None
 
 
 def _cmd_arity(args) -> str:
@@ -133,6 +142,8 @@ def _cmd_ring(args) -> str:
 
 
 def _cmd_primes(args) -> str:
+    from .arithmetic import prime_scan, primes_gap
+
     d = make_descriptor(args.a, args.b)
     scan = prime_scan(d, args.kmax)
     gap = primes_gap(d)
@@ -154,6 +165,8 @@ def _cmd_primes(args) -> str:
 
 
 def _cmd_euler(args) -> str:
+    from .arithmetic import euler_scan
+
     d = make_descriptor(args.a, args.b)
     members, phi = euler_scan(d, args.kmax, args.lmax)
     if args.format == "json":
@@ -165,6 +178,8 @@ def _cmd_euler(args) -> str:
 
 
 def _cmd_divide(args) -> str:
+    from .arithmetic import polyadic_divide
+
     d = make_descriptor(args.a, args.b)
     result = polyadic_divide(d.from_value(args.dividend), d.from_value(args.divisor))
     if args.format == "json":
@@ -174,6 +189,8 @@ def _cmd_divide(args) -> str:
 
 
 def _cmd_remainder(args) -> str:
+    from .arithmetic import divide_with_remainder
+
     d = make_descriptor(args.a, args.b)
     if args.radius < 0:
         raise ValueError("radius must be >= 0")
@@ -233,15 +250,12 @@ def _cmd_group(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> str:
     if args.out:
-        for path in write_tables(args.out):
-            print(path)
-        return 0
+        return "".join(f"{path}\n" for path in write_tables(args.out))
     texts = render_tables()
     sep = "\n" if args.format == "md" else ""
-    sys.stdout.write(sep.join(texts[f"{t}.{args.format}"] for t in ("T0", "T1", "T2")))
-    return 0
+    return sep.join(texts[f"{t}.{args.format}"] for t in ("T0", "T1", "T2"))
 
 
 def _cmd_appendix(args) -> str:
@@ -264,8 +278,6 @@ def _cmd_scan(args) -> Iterator[str]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "table":
-            return _cmd_table(args)
         handler = {
             "arity": _cmd_arity,
             "ring": _cmd_ring,
@@ -277,8 +289,10 @@ def main(argv=None) -> int:
             "group": _cmd_group,
             "appendix": _cmd_appendix,
             "scan": _cmd_scan,
+            "table": _cmd_table,
         }[args.command]
-        _emit(handler(args), args.out)
+        # table writes its --out directory itself and lists the files on stdout.
+        _emit(handler(args), None if args.command == "table" else args.out)
         return 0
     except ForbiddenPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -289,6 +303,9 @@ def main(argv=None) -> int:
     except (UnknownFieldIdError, ValueError, PolyadicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except _StdoutError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         if not args.out:  # only --out is written by the program itself
             raise

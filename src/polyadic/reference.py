@@ -1,405 +1,87 @@
 """Published reference tables, transcribed as printed.
 
-These literals mirror the typography of the source tables: T2 cells are
+These values mirror the typography of the source tables: T2 cells are
 (lambda_p, kappa_e, framed, underlined, bold) with None for empty cells,
 kappa_e 0 on framed (zeroless-nonunital) cells and 1 where no unit count
 is printed; T1 cells carry tagged element lists and a frame level (0 none,
 1 single, 2 double); T0 entries are (q, chi_p, is_field).  The deviation
 scanner compares freshly computed tables against these and reports every
 difference; see KNOWN_DEVIATIONS for the adjudicated ones.
+
+T2 is transcribed one row per (a, b) in the marker notation of T2.md:
+`*` bold, `{Ke}` K units, a trailing `_` underlined, `[zl-nu]` framed and
+`-` an empty cell.  `_parse_t2` turns each row into the tuples above.
+Written as 351 tuple literals, T2 alone cost about as much to compile as
+the rest of this module, which `table --out` compiles on every run.
 """
 
+
+def _parse_t2(rows: str) -> dict:
+    """Rows of "a b m n | cell(q=2) ... cell(q=10)" in the notation of T2.md."""
+    table = {}
+    for row in rows.strip().splitlines():
+        head, cells = row.split("|")
+        a, b, m, n = map(int, head.split())
+        table[a, b] = ((m, n), {q: _parse_t2_cell(text)
+                                for q, text in enumerate(cells.split(), start=2)})
+    return table
+
+
+def _parse_t2_cell(text: str):
+    if text == "-":
+        return None
+    framed = text.startswith("[zl-nu]")
+    text = text.removeprefix("[zl-nu]")
+    bold = text.startswith("*")
+    underlined = text.endswith("_")
+    order, _, count = text.strip("*_").partition("{")
+    kappa_e = int(count.removesuffix("e}")) if count else (0 if framed else 1)
+    return (int(order), kappa_e, framed, underlined, bold)
+
+
 # (a, b) -> ((m, n), {q: cell})
-REFERENCE_T2 = {(1, 2): ((3, 2),
-          {2: (2, 1, False, False, False),
-           3: (2, 1, False, False, True),
-           4: (2, 1, False, False, False),
-           5: (4, 1, False, False, True),
-           6: None,
-           7: (6, 1, False, False, True),
-           8: (4, 1, False, False, False),
-           9: None,
-           10: None}),
- (1, 3): ((4, 2),
-          {2: (1, 1, False, False, True),
-           3: (3, 1, False, False, False),
-           4: None,
-           5: (4, 1, False, False, True),
-           6: None,
-           7: (6, 1, False, False, True),
-           8: None,
-           9: (9, 1, False, False, False),
-           10: None}),
- (1, 4): ((5, 2),
-          {2: (2, 1, False, False, False),
-           3: (2, 1, False, False, True),
-           4: (4, 1, False, False, False),
-           5: (4, 1, False, False, True),
-           6: None,
-           7: (6, 1, False, False, True),
-           8: (8, 1, False, False, False),
-           9: None,
-           10: None}),
- (1, 5): ((6, 2),
-          {2: (1, 1, False, False, True),
-           3: (2, 1, False, False, True),
-           4: None,
-           5: (5, 1, False, False, False),
-           6: None,
-           7: (6, 1, False, False, True),
-           8: None,
-           9: None,
-           10: None}),
- (1, 6): ((7, 2),
-          {2: (2, 1, False, False, False),
-           3: (3, 1, False, False, False),
-           4: (2, 1, False, False, False),
-           5: (4, 1, False, False, True),
-           6: (6, 1, False, False, False),
-           7: (6, 1, False, False, True),
-           8: (4, 1, False, False, False),
-           9: (9, 1, False, False, False),
-           10: None}),
- (1, 7): ((8, 2),
-          {2: (1, 1, False, False, True),
-           3: (2, 1, False, False, True),
-           4: None,
-           5: (4, 1, False, False, True),
-           6: None,
-           7: (7, 1, False, False, False),
-           8: None,
-           9: None,
-           10: None}),
- (1, 8): ((9, 2),
-          {2: (2, 1, False, False, False),
-           3: (2, 1, False, False, True),
-           4: (4, 1, False, False, False),
-           5: (4, 1, False, False, True),
-           6: None,
-           7: (6, 1, False, False, True),
-           8: (8, 1, False, False, False),
-           9: None,
-           10: None}),
- (1, 9): ((10, 2),
-          {2: (1, 1, False, False, True),
-           3: (3, 1, False, False, False),
-           4: None,
-           5: (4, 1, False, False, True),
-           6: None,
-           7: (6, 1, False, False, True),
-           8: None,
-           9: (9, 1, False, False, False),
-           10: None}),
- (1, 10): ((11, 2),
-           {2: (2, 1, False, False, False),
-            3: (2, 1, False, False, True),
-            4: (2, 1, False, False, False),
-            5: (5, 1, False, False, False),
-            6: None,
-            7: (6, 1, False, False, True),
-            8: (8, 1, False, False, False),
-            9: None,
-            10: (10, 1, False, False, False)}),
- (2, 3): ((4, 3),
-          {2: (1, 1, False, False, True),
-           3: (3, 1, False, True, False),
-           4: None,
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: None,
-           9: (9, 1, False, True, False),
-           10: None}),
- (2, 5): ((6, 5),
-          {2: (1, 1, False, False, True),
-           3: (1, 2, False, False, True),
-           4: None,
-           5: (5, 1, False, True, False),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: None,
-           9: None,
-           10: None}),
- (2, 6): ((4, 3),
-          {2: None,
-           3: (3, 1, False, True, False),
-           4: None,
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: None,
-           9: (9, 1, False, True, False),
-           10: None}),
- (2, 7): ((8, 4),
-          {2: (1, 1, False, False, True),
-           3: (2, 1, False, False, True),
-           4: None,
-           5: (4, 1, False, True, True),
-           6: None,
-           7: (7, 1, False, True, False),
-           8: None,
-           9: None,
-           10: None}),
- (2, 9): ((10, 7),
-          {2: (1, 1, False, False, True),
-           3: (3, 0, True, False, False),
-           4: None,
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (1, 6, False, False, True),
-           8: None,
-           9: (9, 0, True, False, False),
-           10: None}),
- (2, 10): ((6, 5),
-           {2: None,
-            3: (1, 2, False, False, True),
-            4: None,
-            5: (5, 1, False, True, False),
-            6: None,
-            7: (3, 2, False, False, True),
-            8: None,
-            9: None,
-            10: None}),
- (3, 4): ((5, 3),
-          {2: (1, 2, False, False, False),
-           3: (1, 2, False, False, True),
-           4: (2, 2, False, False, False),
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: (4, 2, False, False, False),
-           9: None,
-           10: None}),
- (3, 5): ((6, 5),
-          {2: (1, 1, False, False, True),
-           3: (1, 2, False, False, True),
-           4: None,
-           5: (5, 1, False, True, False),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: None,
-           9: None,
-           10: None}),
- (3, 6): ((3, 2),
-          {2: (2, 1, False, False, False),
-           3: None,
-           4: (2, 1, False, False, False),
-           5: (4, 1, False, False, True),
-           6: None,
-           7: (6, 1, False, False, True),
-           8: (4, 1, False, False, False),
-           9: None,
-           10: None}),
- (3, 7): ((8, 7),
-          {2: (1, 1, False, False, True),
-           3: (1, 2, False, False, True),
-           4: None,
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (7, 1, False, True, False),
-           8: None,
-           9: None,
-           10: None}),
- (3, 8): ((9, 3),
-          {2: (2, 0, True, False, False),
-           3: (1, 2, False, False, True),
-           4: (4, 0, True, False, False),
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: (8, 0, True, False, False),
-           9: None,
-           10: None}),
- (3, 10): ((11, 5),
-           {2: (1, 2, False, False, False),
-            3: (1, 2, False, False, True),
-            4: (1, 4, False, False, False),
-            5: (5, 1, False, True, False),
-            6: None,
-            7: (3, 2, False, False, True),
-            8: (1, 8, False, False, False),
-            9: None,
-            10: (5, 2, False, False, False)}),
- (4, 5): ((6, 3),
-          {2: (1, 1, False, False, True),
-           3: (1, 2, False, False, True),
-           4: None,
-           5: (5, 1, False, True, False),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: None,
-           9: None,
-           10: None}),
- (4, 6): ((4, 2),
-          {2: None,
-           3: (3, 1, False, False, False),
-           4: None,
-           5: (4, 1, False, False, True),
-           6: None,
-           7: (6, 1, False, False, True),
-           8: None,
-           9: (9, 1, False, False, False),
-           10: None}),
- (4, 7): ((8, 4),
-          {2: (1, 1, False, False, True),
-           3: (2, 1, False, False, True),
-           4: None,
-           5: (4, 1, False, True, True),
-           6: None,
-           7: (7, 1, False, True, False),
-           8: None,
-           9: None,
-           10: None}),
- (4, 9): ((10, 4),
-          {2: (1, 1, False, False, True),
-           3: (3, 0, True, False, False),
-           4: None,
-           5: (4, 1, False, True, True),
-           6: None,
-           7: (2, 3, False, False, True),
-           8: None,
-           9: (9, 0, True, False, False),
-           10: None}),
- (4, 10): ((6, 3),
-           {2: None,
-            3: (1, 2, False, False, True),
-            4: None,
-            5: (5, 1, False, True, False),
-            6: None,
-            7: (3, 2, False, False, True),
-            8: None,
-            9: None,
-            10: None}),
- (5, 6): ((7, 3),
-          {2: (1, 2, False, False, False),
-           3: (3, 1, False, True, False),
-           4: (1, 4, False, False, False),
-           5: (2, 2, False, False, True),
-           6: (3, 2, False, False, False),
-           7: (3, 2, False, False, True),
-           8: (2, 1, False, False, False),
-           9: (9, 1, False, True, False),
-           10: None}),
- (5, 7): ((8, 7),
-          {2: (1, 1, False, False, True),
-           3: (1, 2, False, False, True),
-           4: None,
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (7, 1, False, True, False),
-           8: None,
-           9: None,
-           10: None}),
- (5, 8): ((9, 3),
-          {2: (2, 0, True, False, False),
-           3: (1, 2, False, False, True),
-           4: (4, 0, True, False, False),
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: (8, 0, True, False, False),
-           9: None,
-           10: None}),
- (5, 9): ((10, 7),
-          {2: (1, 1, False, False, True),
-           3: (3, 0, True, False, False),
-           4: None,
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (1, 6, False, False, True),
-           8: None,
-           9: (9, 0, True, False, False),
-           10: None}),
- (5, 10): ((3, 2),
-           {2: (2, 1, False, False, False),
-            3: (2, 1, False, False, True),
-            4: (2, 1, False, False, False),
-            5: None,
-            6: None,
-            7: (6, 1, False, False, True),
-            8: None,
-            9: None,
-            10: None}),
- (6, 7): ((8, 3),
-          {2: (1, 1, False, False, True),
-           3: (1, 2, False, False, True),
-           4: None,
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (7, 1, False, True, False),
-           8: None,
-           9: None,
-           10: None}),
- (6, 10): ((6, 2),
-           {2: None,
-            3: (2, 1, False, False, True),
-            4: None,
-            5: (5, 1, False, False, False),
-            6: None,
-            7: (6, 1, False, False, True),
-            8: None,
-            9: None,
-            10: None}),
- (7, 8): ((9, 3),
-          {2: (1, 2, False, False, False),
-           3: (1, 2, False, False, True),
-           4: (2, 2, False, False, False),
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: (4, 2, False, False, False),
-           9: None,
-           10: None}),
- (7, 9): ((10, 4),
-          {2: (1, 1, False, False, True),
-           3: (3, 0, True, False, False),
-           4: None,
-           5: (4, 1, False, True, True),
-           6: None,
-           7: (2, 3, False, False, True),
-           8: None,
-           9: (9, 0, True, False, False),
-           10: None}),
- (7, 10): ((11, 5),
-           {2: (1, 2, False, False, False),
-            3: (1, 2, False, False, True),
-            4: (1, 4, False, False, False),
-            5: (5, 1, False, True, False),
-            6: None,
-            7: (3, 2, False, False, True),
-            8: (1, 8, False, False, False),
-            9: None,
-            10: (5, 2, False, False, False)}),
- (8, 9): ((10, 3),
-          {2: (1, 1, False, False, True),
-           3: (3, 1, False, False, False),
-           4: None,
-           5: (2, 2, False, False, True),
-           6: None,
-           7: (3, 2, False, False, True),
-           8: None,
-           9: (9, 1, False, False, False),
-           10: None}),
- (8, 10): ((6, 5),
-           {2: None,
-            3: (1, 2, False, False, True),
-            4: None,
-            5: (5, 1, False, True, False),
-            6: None,
-            7: (3, 2, False, False, True),
-            8: None,
-            9: None,
-            10: None}),
- (9, 10): ((11, 3),
-           {2: (1, 2, False, False, False),
-            3: (1, 2, False, False, True),
-            4: (1, 4, False, False, False),
-            5: (5, 1, False, True, False),
-            6: None,
-            7: (3, 2, False, False, True),
-            8: (2, 4, False, False, False),
-            9: None,
-            10: (5, 2, False, False, False)})}
+REFERENCE_T2 = _parse_t2("""
+1  2  3 2 | 2        *2       2        *4     -     *6     4        -        -
+1  3  4 2 | *1       3        -        *4     -     *6     -        9        -
+1  4  5 2 | 2        *2       4        *4     -     *6     8        -        -
+1  5  6 2 | *1       *2       -        5      -     *6     -        -        -
+1  6  7 2 | 2        3        2        *4     6     *6     4        9        -
+1  7  8 2 | *1       *2       -        *4     -     7      -        -        -
+1  8  9 2 | 2        *2       4        *4     -     *6     8        -        -
+1  9 10 2 | *1       3        -        *4     -     *6     -        9        -
+1 10 11 2 | 2        *2       2        5      -     *6     8        -        10
+2  3  4 3 | *1       3_       -        *2{2e} -     *3{2e} -        9_       -
+2  5  6 5 | *1       *1{2e}   -        5_     -     *3{2e} -        -        -
+2  6  4 3 | -        3_       -        *2{2e} -     *3{2e} -        9_       -
+2  7  8 4 | *1       *2       -        *4_    -     7_     -        -        -
+2  9 10 7 | *1       [zl-nu]3 -        *2{2e} -     *1{6e} -        [zl-nu]9 -
+2 10  6 5 | -        *1{2e}   -        5_     -     *3{2e} -        -        -
+3  4  5 3 | 1{2e}    *1{2e}   2{2e}    *2{2e} -     *3{2e} 4{2e}    -        -
+3  5  6 5 | *1       *1{2e}   -        5_     -     *3{2e} -        -        -
+3  6  3 2 | 2        -        2        *4     -     *6     4        -        -
+3  7  8 7 | *1       *1{2e}   -        *2{2e} -     7_     -        -        -
+3  8  9 3 | [zl-nu]2 *1{2e}   [zl-nu]4 *2{2e} -     *3{2e} [zl-nu]8 -        -
+3 10 11 5 | 1{2e}    *1{2e}   1{4e}    5_     -     *3{2e} 1{8e}    -        5{2e}
+4  5  6 3 | *1       *1{2e}   -        5_     -     *3{2e} -        -        -
+4  6  4 2 | -        3        -        *4     -     *6     -        9        -
+4  7  8 4 | *1       *2       -        *4_    -     7_     -        -        -
+4  9 10 4 | *1       [zl-nu]3 -        *4_    -     *2{3e} -        [zl-nu]9 -
+4 10  6 3 | -        *1{2e}   -        5_     -     *3{2e} -        -        -
+5  6  7 3 | 1{2e}    3_       1{4e}    *2{2e} 3{2e} *3{2e} 2        9_       -
+5  7  8 7 | *1       *1{2e}   -        *2{2e} -     7_     -        -        -
+5  8  9 3 | [zl-nu]2 *1{2e}   [zl-nu]4 *2{2e} -     *3{2e} [zl-nu]8 -        -
+5  9 10 7 | *1       [zl-nu]3 -        *2{2e} -     *1{6e} -        [zl-nu]9 -
+5 10  3 2 | 2        *2       2        -      -     *6     -        -        -
+6  7  8 3 | *1       *1{2e}   -        *2{2e} -     7_     -        -        -
+6 10  6 2 | -        *2       -        5      -     *6     -        -        -
+7  8  9 3 | 1{2e}    *1{2e}   2{2e}    *2{2e} -     *3{2e} 4{2e}    -        -
+7  9 10 4 | *1       [zl-nu]3 -        *4_    -     *2{3e} -        [zl-nu]9 -
+7 10 11 5 | 1{2e}    *1{2e}   1{4e}    5_     -     *3{2e} 1{8e}    -        5{2e}
+8  9 10 3 | *1       3        -        *2{2e} -     *3{2e} -        9        -
+8 10  6 5 | -        *1{2e}   -        5_     -     *3{2e} -        -        -
+9 10 11 3 | 1{2e}    *1{2e}   1{4e}    5_     -     *3{2e} 2{4e}    -        5{2e}
+""")
+
 
 # (a, b) -> [(q, chi_p, is_field), ...]
 REFERENCE_T0 = {(1, 2): [(3, 1, True), (5, 2, True), (7, 3, True), (9, 4, False)],

@@ -2,7 +2,13 @@
 
 Everything here is regenerated from the finite-ring scans; nothing is
 hand-entered.  Each ring is classified by one `finite.structure_report`
-call, serially in (b, a, q) order, and nothing is kept between calls.
+call, serially in (b, a, q) order.  `classify_grid` keys the reports of a
+grid by (a, b, q); the table generators, `render_tables` and the
+deviation scanner read their cells from such a mapping when given one
+and classify their own grid otherwise.  `write_tables` classifies each
+ring of the T2 grid (b <= 10, q = 2..10) once and builds T0, T1, T2 and
+deviations.md from those reports: T0 and T1 cover the b <= 6 part of that
+grid.  Only the five appendix listings classify their field again.
 Renderers emit JSON (sorted keys, newline-terminated), CSV and Markdown;
 `render_tables` maps each T*.{json,csv,md} file name to its text, for
 both `write_tables` and the `table` command.  Markdown encodes typography
@@ -13,7 +19,8 @@ characteristic table as (nf).
 
 A deviation scanner compares the generated cells against the published
 reference tables and writes every difference, adjudicated or not, to
-deviations.md.
+deviations.md.  Only that scanner reads `reference`, so it alone imports
+that module, and no other command compiles its literals.
 """
 
 from __future__ import annotations
@@ -23,20 +30,31 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
-from . import reference
 from .errors import UnknownFieldIdError
 from .finite import StructureReport, finite_ring, mult_querelements, structure_report
 from .groups import decompose
-from .ring import allowed_residues, make_descriptor
+from .ring import allowed_residues
 
 APPENDIX_FIELDS = ((5, 6, 6), (5, 6, 4), (3, 8, 2), (7, 8, 2), (2, 3, 5))
+
+Reports = Mapping[tuple[int, int, int], StructureReport]
 
 
 def grid_pairs(b_max: int) -> list[tuple[int, int]]:
     """Allowed (a, b) pairs in (b, a) order, the row order of every table."""
     return [(a, b) for b in range(2, b_max + 1) for a in allowed_residues(b)]
+
+
+def classify_grid(b_max: int = 10, q_max: int = 10) -> Reports:
+    """The structure report of each ring with b <= b_max and q = 2..q_max, by (a, b, q)."""
+    return {(a, b, q): structure_report(finite_ring(a, b, q))
+            for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)}
+
+
+def _unit_and_zero(report: StructureReport) -> bool:
+    return bool(report.units) and report.zero is not None
 
 
 # ---------------------------------------------------------------- T2
@@ -76,12 +94,16 @@ def _t2_cell(report: StructureReport) -> T2Cell:
         kappa_e=report.kappa_e,
         zeroless_nonunital=report.zeroless and report.nonunital,
         underline=underline,
-        unit_and_zero=bool(report.units) and report.zero is not None,
+        unit_and_zero=_unit_and_zero(report),
     )
 
 
-def generate_t2(b_max: int = 10, q_max: int = 10) -> list[T2Cell]:
-    return [_t2_cell(structure_report(finite_ring(a, b, q)))
+def generate_t2(b_max: int = 10, q_max: int = 10,
+                reports: Optional[Reports] = None) -> list[T2Cell]:
+    """Idempotence-order cells; `reports` (see `classify_grid`) must cover the grid."""
+    if reports is None:
+        reports = classify_grid(b_max, q_max)
+    return [_t2_cell(reports[a, b, q])
             for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)]
 
 
@@ -98,16 +120,18 @@ class T0Cell:
     is_field: bool
 
 
-def generate_t0(b_max: int = 6, q_max: int = 10) -> list[T0Cell]:
+def generate_t0(b_max: int = 6, q_max: int = 10,
+                reports: Optional[Reports] = None) -> list[T0Cell]:
     """Rings with both unit(s) and zero, with their polyadic characteristic."""
+    if reports is None:
+        reports = classify_grid(b_max, q_max)
     out = []
     for a, b in grid_pairs(b_max):
         for q in range(2, q_max + 1):
-            report = structure_report(finite_ring(a, b, q))
-            if report.zero is None or not report.units:
-                continue
-            d = report.ring.ring
-            out.append(T0Cell(d.a, d.b, d.m, d.n, q, report.chi_p, report.is_field))
+            report = reports[a, b, q]
+            if _unit_and_zero(report):
+                d = report.ring.ring
+                out.append(T0Cell(a, b, d.m, d.n, q, report.chi_p, report.is_field))
     return out
 
 
@@ -132,29 +156,30 @@ class T1Orders:
     orders: tuple[tuple[int, bool], ...]  # field orders 5..10, bold = unit+zero
 
 
-def generate_t1(b_max: int = 6) -> tuple[list[T1Cell], list[T1Orders]]:
+def generate_t1(b_max: int = 6, reports: Optional[Reports] = None
+                ) -> tuple[list[T1Cell], list[T1Orders]]:
+    """Element lists for q = 2..4 and the field orders 5..10 of each (a, b)."""
+    if reports is None:
+        reports = classify_grid(b_max, 10)
     cells = []
     for a, b in grid_pairs(b_max):
         for q in (2, 3, 4):
-            fr = finite_ring(a, b, q)
-            report = structure_report(fr)
+            report = reports[a, b, q]
+            fr = report.ring
             tagged = tuple(
                 (fr.rep(k), "z" if report.zero == k else ("e" if k in report.units else ""))
                 for k in fr.elements()
             )
             d = fr.ring
-            cells.append(T1Cell(
-                a, b, d.m, d.n, q, tagged, report.is_field,
-                bool(report.units) and report.zero is not None,
-            ))
+            cells.append(T1Cell(a, b, d.m, d.n, q, tagged, report.is_field,
+                                _unit_and_zero(report)))
     orders = []
     for a, b in grid_pairs(b_max):
-        d = make_descriptor(a, b)
         line = []
         for q in range(5, 11):
-            report = structure_report(finite_ring(a, b, q))
+            report = reports[a, b, q]
             if report.is_field:
-                line.append((q, bool(report.units) and report.zero is not None))
+                line.append((q, _unit_and_zero(report)))
         orders.append(T1Orders(a, b, tuple(line)))
     return cells, orders
 
@@ -393,13 +418,19 @@ def appendix_to_md(listing: dict) -> str:
 
 # ---------------------------------------------------------------- deviations
 
-def table_deviations() -> list[tuple[str, tuple, str, str, str]]:
+def table_deviations(reports: Optional[Reports] = None
+                     ) -> list[tuple[str, tuple, str, str, str]]:
     """Every cell where recomputation differs from the published reference.
 
     Returns (table, location, printed, computed, note); the note is the
     adjudication from reference.KNOWN_DEVIATIONS or a loud marker when a
-    difference has not been adjudicated yet.
+    difference has not been adjudicated yet.  `reports` must cover the
+    T2 grid; without it each ring is classified once here.
     """
+    from . import reference
+
+    if reports is None:
+        reports = classify_grid()
     diffs = []
 
     def note_for(table, loc):
@@ -407,7 +438,7 @@ def table_deviations() -> list[tuple[str, tuple, str, str, str]]:
             (table, loc), "UNEXPECTED: not adjudicated, investigate before release"
         )
 
-    t2 = {(c.a, c.b, c.q): c for c in generate_t2()}
+    t2 = {(c.a, c.b, c.q): c for c in generate_t2(reports=reports)}
     for (a, b), (_, cells) in sorted(reference.REFERENCE_T2.items()):
         for q, printed in sorted(cells.items()):
             got = t2[(a, b, q)].flags
@@ -415,7 +446,7 @@ def table_deviations() -> list[tuple[str, tuple, str, str, str]]:
                 diffs.append(("T2", (a, b, q), str(printed), str(got),
                               note_for("T2", (a, b, q))))
 
-    t0 = {(c.a, c.b, c.q): c for c in generate_t0()}
+    t0 = {(c.a, c.b, c.q): c for c in generate_t0(reports=reports)}
     seen = set()
     for (a, b), entries in sorted(reference.REFERENCE_T0.items()):
         for (q, chi, is_field_flag) in entries:
@@ -431,7 +462,7 @@ def table_deviations() -> list[tuple[str, tuple, str, str, str]]:
             diffs.append(("T0", key, "entry absent", str((c.chi_p, c.is_field)),
                           note_for("T0", key)))
 
-    cells1, orders1 = generate_t1()
+    cells1, orders1 = generate_t1(reports=reports)
     ref1 = reference.REFERENCE_T1
     comp_cells = {(c.a, c.b, c.q): c for c in cells1}
     comp_orders = {(o.a, o.b): o for o in orders1}
@@ -451,7 +482,9 @@ def table_deviations() -> list[tuple[str, tuple, str, str, str]]:
     return diffs
 
 
-def deviations_report() -> str:
+def deviations_report(reports: Optional[Reports] = None) -> str:
+    from . import reference
+
     lines = [
         "# Deviations from the published reference values",
         "",
@@ -462,7 +495,7 @@ def deviations_report() -> str:
         "## Table cells",
         "",
     ]
-    for table, loc, printed, computed, note in table_deviations():
+    for table, loc, printed, computed, note in table_deviations(reports):
         lines.append(f"- **{table} {loc}**: printed `{printed}`, computed `{computed}`.")
         lines.append(f"  {note}.")
     lines += ["", "## Worked examples", ""]
@@ -471,11 +504,17 @@ def deviations_report() -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_tables() -> dict[str, str]:
-    """Text of T2, T0 and T1 as JSON, CSV and Markdown, keyed by file name."""
-    t2 = generate_t2()
-    t0 = generate_t0()
-    cells1, orders1 = generate_t1()
+def render_tables(reports: Optional[Reports] = None) -> dict[str, str]:
+    """Text of T2, T0 and T1 as JSON, CSV and Markdown, keyed by file name.
+
+    `reports` must cover the T2 grid; without it each ring is classified
+    once here.
+    """
+    if reports is None:
+        reports = classify_grid()
+    t2 = generate_t2(reports=reports)
+    t0 = generate_t0(reports=reports)
+    cells1, orders1 = generate_t1(reports=reports)
     return {
         "T2.json": t2_to_json(t2),
         "T2.csv": t2_to_csv(t2),
@@ -490,9 +529,14 @@ def render_tables() -> dict[str, str]:
 
 
 def write_tables(outdir: str) -> list[str]:
-    """Write tables/T*.{json,csv,md}, appendix listings and deviations.md."""
+    """Write tables/T*.{json,csv,md}, appendix listings and deviations.md.
+
+    Each ring of the T2 grid is classified once, for all three tables and
+    the deviations; each appendix field once more.
+    """
     tdir = os.path.join(outdir, "tables")
     os.makedirs(tdir, exist_ok=True)
+    reports = classify_grid()
     written = []
 
     def emit(name: str, text: str):
@@ -501,9 +545,9 @@ def write_tables(outdir: str) -> list[str]:
             f.write(text)
         written.append(path)
 
-    for name, text in render_tables().items():
+    for name, text in render_tables(reports).items():
         emit(name, text)
     for (a, b, q) in APPENDIX_FIELDS:
         emit(f"appendix_{a}_{b}_{q}.md", appendix_to_md(generate_appendix(a, b, q)))
-    emit("deviations.md", deviations_report())
+    emit("deviations.md", deviations_report(reports))
     return written

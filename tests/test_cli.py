@@ -89,6 +89,28 @@ class TestExamples:
             assert code == 5 and out == "", argv
             assert err.startswith("error: cannot write ") and err.count("\n") == 1, argv
 
+    def test_closed_stdout_exits_5(self):
+        # The scan writes far more than a pipe holds, so it is still writing
+        # when the reader goes away after ten bytes.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polyadic.cli", "scan", "--bmax", "12", "--qmax", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=RUN_ENV)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 5
+        assert err == "error: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exits_5(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polyadic.cli", "arity", "--a", "3", "--b", "4"],
+                stdout=full, stderr=subprocess.PIPE, env=RUN_ENV, timeout=60)
+        assert proc.returncode == 5
+        assert proc.stderr.decode() == "error: cannot write stdout: No space left on device\n"
+
 
 class TestPayloads:
     def test_primes_json(self, capsys):

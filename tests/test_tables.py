@@ -1,7 +1,9 @@
 import os
+import sys
 
 import pytest
 
+import polyadic.finite
 from polyadic import reference
 from polyadic.errors import UnknownFieldIdError
 from polyadic.tables import (
@@ -11,6 +13,7 @@ from polyadic.tables import (
     generate_t0,
     generate_t1,
     generate_t2,
+    grid_pairs,
     table_deviations,
     write_tables,
 )
@@ -160,17 +163,39 @@ class TestDeviationScanner:
         assert "32768" in text
 
 
+def assert_golden(paths):
+    assert len(paths) == 15
+    for path in paths:
+        name = os.path.basename(path)
+        with open(path, "rb") as f:
+            fresh = f.read()
+        with open(os.path.join(GOLDEN, name), "rb") as f:
+            golden = f.read()
+        assert fresh == golden, name
+
+
 class TestGoldenFiles:
     def test_regeneration_is_byte_identical(self, tmp_path):
-        paths = write_tables(str(tmp_path))
-        assert len(paths) == 15
-        for path in paths:
-            name = os.path.basename(path)
-            with open(path, "rb") as f:
-                fresh = f.read()
-            with open(os.path.join(GOLDEN, name), "rb") as f:
-                golden = f.read()
-            assert fresh == golden, name
+        assert_golden(write_tables(str(tmp_path)))
+
+    def test_each_grid_ring_is_classified_once(self, tmp_path, monkeypatch):
+        calls = []
+        classify = polyadic.finite.structure_report
+
+        def counting_classify(fr):
+            calls.append((fr.ring.a, fr.ring.b, fr.q))
+            return classify(fr)
+
+        # Every module that binds it, so a by-name import is counted too.
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("polyadic")
+                    and getattr(module, "structure_report", None) is classify):
+                monkeypatch.setattr(module, "structure_report", counting_classify)
+        assert_golden(write_tables(str(tmp_path)))
+        grid = [(a, b, q) for a, b in grid_pairs(10) for q in range(2, 11)]
+        assert len(grid) == 351
+        # The T2 grid once, in (b, a, q) order, then each appendix field once more.
+        assert calls == grid + list(APPENDIX_FIELDS)
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POLYADIC_THREADS", "4")
