@@ -9,16 +9,18 @@ characteristic, idempotence orders, and the JSON report format.
 
 Zero, units, the field test and the characteristic are closed forms in
 the representatives, each proved in its docstring, so they cost O(q)
-modular operations and search no set of products.  Every order, cycle,
-subgroup and reflection is read off one walk along an element's powers,
-`power_orbit`.  `structure_report` classifies a ring in one pass: it finds
-the zero and the units once, walks each element's powers once, and keeps
-the walks on the report for `groups` to read.  Nothing is cached.
+modular operations and search no set of products.  Idempotence orders
+come from `power_cycles`, one walk per cycle of powers rather than one
+per element: every index on a cycle reads its order off its position,
+and an index that has no order is recognised by a gcd test without a
+walk.  `structure_report` classifies a ring in one pass and keeps no
+walk; `groups` walks the same cycles again when it needs them.  Nothing
+is cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
@@ -171,8 +173,49 @@ def is_field(fr: FiniteRing) -> bool:
 
 
 def _is_field(fr: FiniteRing, zero: Optional[int]) -> bool:
-    nonzero = [fr.rep(k) for k in fr.elements() if k != zero]
-    return bool(nonzero) and all(gcd(r, fr.q) == 1 for r in nonzero)
+    a, b, q = fr.ring.a, fr.ring.b, fr.q
+    nonzero = [a + b * k for k in range(q) if k != zero]
+    return bool(nonzero) and all(gcd(r, q) == 1 for r in nonzero)
+
+
+def power_cycles(fr: FiniteRing) -> tuple[tuple[int, ...], ...]:
+    """Cycles of multiplicative powers that hold every index with an order.
+
+    Indices are taken in increasing order; one that lies on no earlier
+    cycle and has an order starts a new cycle w, where w[i] is the i-th
+    power of w[0] and len(w) is the order o of w[0].  Each cycle costs one
+    walk of o steps, and every index with an order lies on some cycle.
+
+    Proof sketch.  Let r = rep(k), M = b*q, g = gcd(r, M) and h = M/g.
+    The l-th power of k has representative r^(1+l(n-1)) mod M.  It is k
+    iff r*(r^(l(n-1)) - 1) = 0 (mod M), that is r^(l(n-1)) = 1 (mod h),
+    since r/g is coprime to h.  Some l >= 1 solves this iff r is
+    invertible modulo h, iff gcd(r, h) = 1: so k has an order exactly
+    then, and otherwise needs no walk.  Each w[i] has representative
+    r*r^(i(n-1)) mod M; a prime dividing h does not divide r, and a prime
+    not dividing h divides r at least as often as M, so gcd(rep w[i], M)
+    = g.  Every index on the cycle thus has the same h and an order too,
+    and an index without one is on no cycle.
+    """
+    a, b, n, mod = fr.ring.a, fr.ring.b, fr.ring.n, fr.modulus
+    on_cycle = bytearray(fr.q)
+    cycles = []
+    for k in fr.elements():
+        if on_cycle[k]:
+            continue
+        r = a + b * k
+        if gcd(r, mod // gcd(r, mod)) != 1:
+            continue
+        step = pow(r, n - 1, mod)
+        cycle = [k]
+        v = r * step % mod
+        while v != r:
+            cycle.append((v - a) // b)
+            v = v * step % mod
+        for x in cycle:
+            on_cycle[x] = 1
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 def power_orbit(fr: FiniteRing, k: int) -> tuple[int, ...]:
@@ -267,8 +310,6 @@ class StructureReport:
     n_admissible: bool
     zeroless: bool
     nonunital: bool
-    # power_orbit of every index, for groups; not part of the classification.
-    orbits: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def kappa_e(self) -> int:
@@ -276,14 +317,31 @@ class StructureReport:
 
 
 def structure_report(fr: FiniteRing) -> StructureReport:
-    """Full classification of one finite ring, one power walk per element."""
+    """Full classification of one finite ring, one power walk per cycle.
+
+    On a cycle w of `power_cycles` of length o, w[i] has order
+    o / gcd(o, 1 + i(n-1)); indices on no cycle have none.
+
+    Proof sketch.  Each power of w[0] is the previous one times
+    rep(w[0])^(n-1), and the o-th is w[0], so the j-th is w[j mod o].  With
+    e_i = 1 + i(n-1), the l-th power of w[i] has exponent
+    e_i*(1 + l(n-1)) = 1 + (i + l*e_i)(n-1) of rep(w[0]), so it is
+    w[(i + l*e_i) mod o]: powering w[i] steps e_i places round the
+    cycle.  It first returns to place i when o | l*e_i, at
+    l = o / gcd(o, e_i).  An index on several cycles gets the same order
+    from each.
+    """
     zero = find_zero(fr)
     units = find_units(fr)
-    orbits = tuple(power_orbit(fr, k) for k in fr.elements())
-    orders = tuple(_order(walk) for walk in orbits)
+    n = fr.ring.n
+    orders: list[Optional[int]] = [None] * fr.q
+    for cycle in power_cycles(fr):
+        o = len(cycle)
+        for i, x in enumerate(cycle):
+            orders[x] = o // gcd(o, 1 + i * (n - 1))
     nonzero_orders = [o for k, o in enumerate(orders) if k != zero]
     lambda_p = None
-    if nonzero_orders and all(o is not None for o in nonzero_orders):
+    if nonzero_orders and None not in nonzero_orders:
         lambda_p = max(nonzero_orders)
     q_star = fr.q - 1 if zero is not None else fr.q
     return StructureReport(
@@ -293,12 +351,11 @@ def structure_report(fr: FiniteRing) -> StructureReport:
         is_field=_is_field(fr, zero),
         chi_p=_characteristic(fr, zero, units),
         lambda_p=lambda_p,
-        element_orders=orders,
+        element_orders=tuple(orders),
         q_star=q_star,
         n_admissible=(q_star - 1) % (fr.ring.n - 1) == 0,
         zeroless=zero is None,
         nonunital=not units,
-        orbits=orbits,
     )
 
 

@@ -3,9 +3,10 @@
 These deliberately share no code with the main paths: arities come from
 a plain double scan, index multiplication from the literal
 symmetric-polynomial expansion, the zero, the units and the field
-check from exhaustive tuple enumeration, and divisors and primality
-from trial division up to the square root.  Tests use them as the arbiter
-wherever the main path uses a closed form or a pruned search.
+check from exhaustive tuple enumeration, powers by repeated
+multiplication, and divisors and primality from trial division up to
+the square root.  Tests use them as the arbiter wherever the main path
+uses a closed form or a pruned search.
 
 The subset field search behind `proper_subfields` lives here too: only
 tests call it, and it enumerates sets of products where the main path
@@ -91,6 +92,19 @@ def _mul(fr: FiniteRing, ks) -> int:
 def _add(fr: FiniteRing, ks) -> int:
     total = sum(fr.ring.a + fr.ring.b * k for k in ks) % fr.modulus
     return (total - fr.ring.a) // fr.ring.b
+
+
+def oracle_power_walk(fr: FiniteRing, k: int) -> list[int]:
+    """k and its successive n-ary powers, to the first index seen twice.
+
+    Each power is the previous one multiplied by n-1 more copies of k with
+    the oracle's own `_mul`, so the l-th entry is mu[k^(l(n-1)+1)].
+    """
+    walk = [k]
+    while True:
+        walk.append(_mul(fr, [walk[-1]] + [k] * (fr.ring.n - 1)))
+        if walk[-1] in walk[:-1]:
+            return walk
 
 
 def oracle_zero(fr: FiniteRing) -> Optional[int]:

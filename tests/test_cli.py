@@ -155,6 +155,23 @@ class TestPayloads:
         assert payload["split"] is True
         assert payload["subgroups"] == [[0, 2, 4, 6], [1, 5]]
 
+    def test_group_tie_order_is_pinned(self, capsys):
+        # All four subgroups start at 1, so their order is that of the
+        # candidate set in groups.decompose, which the output bytes keep.
+        code, out, _ = run_main(capsys, "group", "--a", "1", "--b", "2", "--q", "8")
+        assert code == 0
+        assert out == (
+            "Z_(3,2)^[1,2](8) multiplicative group\n"
+            "G1 = {1, 7}\n"
+            "G2 = {1, 5, 9, 13}\n"
+            "G3 = {1, 15}\n"
+            "G4 = {1, 3, 9, 11}\n"
+            "E(G) = {1}\n"
+            "disjoint=False covers=True split=False\n"
+            "primitive: none (kappa_prim=0)\n"
+            "reflections: 3->3, 5->3, 7->1, 9->1, 11->3, 13->3, 15->1\n"
+        )
+
     def test_ring_text_uses_standard_notation(self, capsys):
         code, out, _ = run_main(capsys, "ring", "--a", "3", "--b", "4")
         assert out.startswith("Z_(5,3)^[3,4]")
@@ -171,6 +188,16 @@ class TestScan:
         for row in rows:
             if row["is_field"]:
                 assert "group" in row
+
+    def test_subgroup_tie_order_is_pinned(self, capsys):
+        code, out, _ = run_main(capsys, "scan", "--bmax", "2", "--qmax", "16")
+        assert code == 0
+        row = json.loads(out.splitlines()[-1])
+        assert (row["a"], row["b"], row["q"]) == (1, 2, 16)
+        assert row["group"]["subgroups"] == [
+            [0, 1, 4, 5, 8, 9, 12, 13], [0, 15], [0, 2, 4, 6, 8, 10, 12, 14],
+            [0, 3, 8, 11], [0, 7],
+        ]
 
     def test_out_flag_writes_the_file(self, capsys, tmp_path):
         target = tmp_path / "scan.jsonl"

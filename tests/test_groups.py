@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -102,45 +101,59 @@ class TestReflections:
             reflections(structure_report(finite_ring(5, 8, 2)))
 
 
-class TestOneWalkPerElement:
-    def test_report_walks_each_element_once_and_groups_never(self, monkeypatch):
-        calls = []
-        walk = polyadic.finite.power_orbit
+class TestOneWalkPerCycle:
+    def test_report_and_groups_walk_each_cycle_once(self, monkeypatch):
+        # Per-element walks are never taken on these rings; power_cycles
+        # walks each cycle once, starting only at an index with an order that
+        # no earlier cycle holds, and stopping at its first return.
+        orbit_calls, cycle_calls = [], []
+        orbit, cycles_of = polyadic.finite.power_orbit, polyadic.finite.power_cycles
 
-        def counting_walk(fr, k):
-            calls.append(k)
-            return walk(fr, k)
+        def counting_orbit(fr, k):
+            orbit_calls.append(k)
+            return orbit(fr, k)
 
-        # Every module that binds the walk, so a by-name import is counted too.
+        def counting_cycles(fr):
+            cycles = cycles_of(fr)
+            cycle_calls.append(cycles)
+            return cycles
+
+        # Every module that binds a walk, so a by-name import is counted too.
         for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("polyadic")
-                    and getattr(module, "power_orbit", None) is walk):
-                monkeypatch.setattr(module, "power_orbit", counting_walk)
+            if getattr(module, "__name__", "").startswith("polyadic"):
+                for name, fn, counting in (("power_orbit", orbit, counting_orbit),
+                                           ("power_cycles", cycles_of, counting_cycles)):
+                    if getattr(module, name, None) is fn:
+                        monkeypatch.setattr(module, name, counting)
         fields = 0
         for fr in scan_rings(6, 6):
-            calls.clear()
+            orbit_calls.clear()
+            cycle_calls.clear()
             report = structure_report(fr)
+            assert orbit_calls == [] and len(cycle_calls) == 1, fr
+            cycles = cycle_calls[0]
+            seen = set()
+            for cycle in cycles:
+                assert cycle[0] not in seen and len(set(cycle)) == len(cycle), fr
+                assert len(cycle) == report.element_orders[cycle[0]], fr
+                seen.update(cycle)
+            assert [c[0] for c in cycles] == sorted(c[0] for c in cycles), fr
+            assert seen == {k for k, o in enumerate(report.element_orders)
+                            if o is not None}, fr
             if not report.is_field:
                 continue
             fields += 1
-            assert sorted(calls) == list(fr.elements()), fr
-            calls.clear()
-            decompose(report)
-            primitive_elements(report)
-            if report.units:
-                reflections(report)
+            for call in [decompose, primitive_elements] + [reflections] * bool(report.units):
+                cycle_calls.clear()
+                call(report)
+                assert orbit_calls == [] and len(cycle_calls) <= 1, (fr, call)
+                assert all(c == cycles for c in cycle_calls), (fr, call)
             for k in fr.elements():
                 if k != report.zero:
+                    cycle_calls.clear()
                     cyclic_subgroup(report, k)
-            assert calls == [], fr
+                    assert orbit_calls == [] and len(cycle_calls) == 1, fr
         assert fields > 0
-
-    def test_orbits_stay_out_of_equality(self):
-        fr = finite_ring(5, 8, 7)
-        report = structure_report(fr)
-        assert report == structure_report(fr)
-        assert replace(report, orbits=()) == report
-        assert "orbits" not in repr(report)
 
 
 @pytest.fixture(scope="module")

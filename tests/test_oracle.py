@@ -3,7 +3,8 @@ import pytest
 from conftest import scan_rings
 from polyadic.arithmetic import _abs_divisors, _is_binary_prime, _prime_factors
 from polyadic.errors import ForbiddenPairError
-from polyadic.finite import find_units, find_zero, finite_ring, is_field
+from polyadic.finite import find_units, find_zero, finite_ring, is_field, structure_report
+from polyadic.groups import cyclic_subgroup, decompose, primitive_elements, reflections
 from polyadic.oracle import (
     oracle_arity,
     oracle_divisors,
@@ -11,10 +12,12 @@ from polyadic.oracle import (
     oracle_is_field,
     oracle_is_prime,
     oracle_kmult,
+    oracle_power_walk,
     oracle_units,
     oracle_zero,
 )
 from polyadic.ring import derive_arities
+from polyadic.tables import grid_pairs
 
 
 def wide_grid():
@@ -93,6 +96,52 @@ class TestOracleZeroAndUnits:
         for fr in rings:
             assert oracle_zero(fr) == find_zero(fr), fr
             assert oracle_units(fr) == find_units(fr), fr
+
+
+class TestOraclePowers:
+    def test_published_walk(self):
+        fr = finite_ring(5, 8, 7)  # 5 -> 13 -> 45 -> 5
+        assert [fr.rep(k) for k in oracle_power_walk(fr, 0)] == [5, 13, 45, 5]
+
+    def test_orders_subgroups_and_reflections_agree_everywhere(self):
+        # Every ring with b, q <= 12, the binary limit and q = 1 included.
+        # The zero comes from the main path (oracle_zero enumerates q^n
+        # tuples; TestOracleZeroAndUnits checks it up to b, q <= 8).
+        rings = [finite_ring(a, b, q) for a, b in [(0, 1)] + grid_pairs(12)
+                 for q in range(1, 13)]
+        fields = 0
+        for fr in rings:
+            report = structure_report(fr)
+            walks = [oracle_power_walk(fr, k) for k in fr.elements()]
+            orders = tuple(len(w) - 1 if w[-1] == w[0] else None for w in walks)
+            assert report.element_orders == orders, fr
+            nonzero = [k for k in fr.elements() if k != report.zero]
+            lam = [orders[k] for k in nonzero]
+            assert report.lambda_p == (max(lam) if lam and None not in lam else None), fr
+            units = set(oracle_units(fr))
+            refl = {}
+            for k in nonzero:
+                hits = [l for l, x in enumerate(walks[k]) if l and x in units]
+                if k not in units and hits:
+                    refl[k] = hits[0]
+            if units:
+                assert reflections(report) == refl, fr
+            if not report.is_field:
+                continue
+            fields += 1
+            generated = {k: frozenset(walks[k]) for k in nonzero}
+            for k in nonzero:
+                assert cyclic_subgroup(report, k) == generated[k], (fr, k)
+            candidates = {generated[k] for k in nonzero if k not in units}
+            maximal = sorted(tuple(sorted(g)) for g in candidates
+                             if not any(g < h for h in candidates))
+            dec = decompose(report)
+            assert sorted(dec.subgroups) == maximal, fr
+            assert dec.reflections == tuple(sorted(refl.items())), fr
+            prim = tuple(k for k in nonzero if orders[k] == report.q_star)
+            assert dec.primitive_elements == prim, fr
+            assert primitive_elements(report) == (frozenset(prim), len(prim)), fr
+        assert len(rings) == 696 and fields == 354
 
 
 class TestOracleFactorisation:
