@@ -69,6 +69,7 @@ _EXPORTS = {
         "mult_querelements",
         "report_to_dict",
         "structure_report",
+        "to_json",
     ),
     "groups": (
         "GroupDecomposition",

@@ -4,9 +4,11 @@ Exit codes: 0 success, 2 forbidden residue pair, 3 not a field where a
 field is required, 4 bad arguments, 5 the --out path or stdout cannot be
 written (closed pipe, full disk).
 Output is deterministic for a given argv: scans classify one ring at a
-time in (b, a, q) order and write each line as soon as it is made.  Each
-command accepts only the --format values that change its output
-(`_FORMATS`).
+time in (b, a, q) order and write each line as soon as it is made, from
+one `finite.structure_report` and, on a field, one `groups.decompose`,
+with one descriptor per (a, b).  Every JSON report and decomposition is
+written by `finite.to_json`.  Each command accepts only the --format
+values that change its output (`_FORMATS`).
 
 Importing this module loads `ring`, `finite`, `groups` and `tables`;
 `arithmetic` is imported by the four handlers that use it (`primes`,
@@ -30,8 +32,8 @@ from .errors import (
     PolyadicError,
     UnknownFieldIdError,
 )
-from .finite import finite_ring, report_to_dict, structure_report
-from .groups import decompose, decomposition_to_dict
+from .finite import FiniteRing, finite_ring, structure_report, to_json
+from .groups import decompose
 from .ring import make_descriptor
 from .tables import (
     appendix_to_md,
@@ -205,20 +207,11 @@ def _cmd_remainder(args) -> str:
     return "".join(f"({q.value}, {r.value})\n" for q, r in pairs)
 
 
-def _report_line(a: int, b: int, q: int) -> str:
-    fr = finite_ring(a, b, q)
-    report = structure_report(fr)
-    payload = report_to_dict(report)
-    if report.is_field:
-        payload["group"] = decomposition_to_dict(decompose(report))
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
 def _cmd_finite(args) -> str:
     fr = finite_ring(args.a, args.b, args.q)
     report = structure_report(fr)
     if args.format == "json":
-        return json.dumps(report_to_dict(report), separators=(",", ":")) + "\n"
+        return to_json(report) + "\n"
     values = lambda ks: ", ".join(str(fr.rep(k)) for k in ks)
     lines = [
         f"{fr!r}: field={'yes' if report.is_field else 'no'}",
@@ -235,7 +228,7 @@ def _cmd_group(args) -> str:
     fr = finite_ring(args.a, args.b, args.q)
     dec = decompose(structure_report(fr))
     if args.format == "json":
-        return json.dumps(decomposition_to_dict(dec), separators=(",", ":")) + "\n"
+        return to_json(group=dec) + "\n"
     values = lambda ks: ", ".join(str(fr.rep(k)) for k in ks)
     lines = [f"{fr!r} multiplicative group"]
     for i, g in enumerate(dec.subgroups, start=1):
@@ -271,8 +264,10 @@ def _cmd_scan(args) -> Iterator[str]:
         raise ValueError("bmax must be >= 1")
     if args.qmax < 2:
         raise ValueError("qmax must be >= 2")
-    return (_report_line(a, b, q)
-            for a, b in grid_pairs(args.bmax) for q in range(2, args.qmax + 1))
+    rings = (make_descriptor(a, b) for a, b in grid_pairs(args.bmax))
+    reports = (structure_report(FiniteRing(d, q))
+               for d in rings for q in range(2, args.qmax + 1))
+    return (to_json(r, decompose(r) if r.is_field else None) + "\n" for r in reports)
 
 
 def main(argv=None) -> int:

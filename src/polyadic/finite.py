@@ -5,7 +5,7 @@ class indices k = 0..q-1: representatives live modulo b*q, addition adds
 indices plus the additive shape invariant, and multiplication is the
 exact representative product reduced back to an index.  This module
 classifies those rings: zero, units, field property, polyadic
-characteristic, idempotence orders, and the JSON report format.
+characteristic, idempotence orders, and the JSON text of a report.
 
 Zero, units, the field test and the characteristic are closed forms in
 the representatives, each proved in its docstring, so they cost O(q)
@@ -13,13 +13,14 @@ modular operations and search no set of products.  Idempotence orders
 come from `power_cycles`, one walk per cycle of powers rather than one
 per element: every index on a cycle reads its order off its position,
 and an index that has no order is recognised by a gcd test without a
-walk.  `structure_report` classifies a ring in one pass and keeps no
-walk; `groups` walks the same cycles again when it needs them.  Nothing
-is cached.
+walk.  `structure_report` walks the cycles once and keeps them on the
+report, where `groups` reads them.  `to_json` is the one JSON writer of
+reports and group decompositions.  Nothing is cached.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
@@ -109,13 +110,13 @@ def find_zero(fr: FiniteRing) -> Optional[int]:
     q = 1, h divides b*q = b anyway.  An absorbing element is unique, so
     the first index passing the test is the zero.
     """
-    d, q = fr.ring, fr.q
-    mod = d.b * q
+    a, b, m1, i_shape, q = fr.ring.a, fr.ring.b, fr.ring.m - 1, fr.ring.i_shape, fr.q
+    mod = b * q
     for z in range(q):
-        if ((d.m - 1) * z + d.i_shape) % q:
+        if (m1 * z + i_shape) % q:
             continue
-        h = mod // gcd(d.a + d.b * z, mod)
-        if d.b % h == 0 and pow(d.a, d.n - 1, h) == 1 % h:
+        h = mod // gcd(a + b * z, mod)
+        if b % h == 0 and pow(a, fr.ring.n - 1, h) == 1 % h:
             return z
     return None
 
@@ -132,12 +133,17 @@ def find_units(fr: FiniteRing) -> tuple[int, ...]:
     holds trivially for q = 1.  Conversely, q | u makes u*b*k vanish
     modulo b*q for every k, leaving the k = 0 condition.
     """
-    d, q = fr.ring, fr.q
-    mod = d.b * q
+    return _units(fr, range(fr.q))
+
+
+def _units(fr: FiniteRing, candidates) -> tuple[int, ...]:
+    """The candidate indices that pass the unit test of `find_units`."""
+    a, b, n1, q = fr.ring.a, fr.ring.b, fr.ring.n - 1, fr.q
+    mod = b * q
     out = []
-    for e in range(q):
-        u = pow(d.a + d.b * e, d.n - 1, mod) - 1
-        if u % q == 0 and u * d.a % mod == 0:
+    for e in candidates:
+        u = pow(a + b * e, n1, mod) - 1
+        if u % q == 0 and u * a % mod == 0:
             out.append(e)
     return tuple(out)
 
@@ -174,8 +180,10 @@ def is_field(fr: FiniteRing) -> bool:
 
 def _is_field(fr: FiniteRing, zero: Optional[int]) -> bool:
     a, b, q = fr.ring.a, fr.ring.b, fr.q
-    nonzero = [a + b * k for k in range(q) if k != zero]
-    return bool(nonzero) and all(gcd(r, q) == 1 for r in nonzero)
+    gcds = list(map(gcd, range(a, a + b * q, b), [q] * q))  # gcd(rep k, q) per k
+    if zero is not None:
+        del gcds[zero]
+    return bool(gcds) and max(gcds) == 1
 
 
 def power_cycles(fr: FiniteRing) -> tuple[tuple[int, ...], ...]:
@@ -200,20 +208,21 @@ def power_cycles(fr: FiniteRing) -> tuple[tuple[int, ...], ...]:
     a, b, n, mod = fr.ring.a, fr.ring.b, fr.ring.n, fr.modulus
     on_cycle = bytearray(fr.q)
     cycles = []
-    for k in fr.elements():
+    for k in range(fr.q):
         if on_cycle[k]:
             continue
         r = a + b * k
         if gcd(r, mod // gcd(r, mod)) != 1:
             continue
         step = pow(r, n - 1, mod)
+        on_cycle[k] = 1
         cycle = [k]
         v = r * step % mod
         while v != r:
-            cycle.append((v - a) // b)
-            v = v * step % mod
-        for x in cycle:
+            x = (v - a) // b
             on_cycle[x] = 1
+            cycle.append(x)
+            v = v * step % mod
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
@@ -286,9 +295,9 @@ def _characteristic(fr: FiniteRing, zero: Optional[int],
 
 
 def _least_additive_steps(fr: FiniteRing, e: int, zero: int) -> Optional[int]:
-    mod = fr.modulus
-    c = (fr.ring.m - 1) * fr.rep(e) % mod
-    target = (fr.rep(zero) - fr.rep(e)) % mod
+    b, mod = fr.ring.b, fr.modulus
+    c = (fr.ring.m - 1) * (fr.ring.a + b * e) % mod
+    target = b * (zero - e) % mod  # rep(zero) - rep(e)
     g = gcd(c, mod)
     if target % g:
         return None
@@ -299,6 +308,12 @@ def _least_additive_steps(fr: FiniteRing, e: int, zero: int) -> Optional[int]:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """Classification of one finite ring.
+
+    `cycles` keeps the cycles of `power_cycles`, which `groups` reads; it
+    is compared like every other field but is not in `REPORT_KEYS`.
+    """
+
     ring: FiniteRing
     zero: Optional[int]
     units: tuple[int, ...]
@@ -310,6 +325,7 @@ class StructureReport:
     n_admissible: bool
     zeroless: bool
     nonunital: bool
+    cycles: tuple[tuple[int, ...], ...]
 
     @property
     def kappa_e(self) -> int:
@@ -332,14 +348,17 @@ def structure_report(fr: FiniteRing) -> StructureReport:
     from each.
     """
     zero = find_zero(fr)
-    units = find_units(fr)
-    n = fr.ring.n
+    n1 = fr.ring.n - 1
+    cycles = power_cycles(fr)
     orders: list[Optional[int]] = [None] * fr.q
-    for cycle in power_cycles(fr):
-        o = len(cycle)
-        for i, x in enumerate(cycle):
-            orders[x] = o // gcd(o, 1 + i * (n - 1))
-    nonzero_orders = [o for k, o in enumerate(orders) if k != zero]
+    for cycle in cycles:
+        o, e = len(cycle), 1  # e = 1 + i(n-1) at place i
+        for x in cycle:
+            orders[x] = o // gcd(o, e)
+            e += n1
+    # A unit e has order 1, since mu[e^(n-1), e] = e: only those are tested.
+    units = _units(fr, [k for k, o in enumerate(orders) if o == 1])
+    nonzero_orders = orders if zero is None else orders[:zero] + orders[zero + 1:]
     lambda_p = None
     if nonzero_orders and None not in nonzero_orders:
         lambda_p = max(nonzero_orders)
@@ -353,33 +372,45 @@ def structure_report(fr: FiniteRing) -> StructureReport:
         lambda_p=lambda_p,
         element_orders=tuple(orders),
         q_star=q_star,
-        n_admissible=(q_star - 1) % (fr.ring.n - 1) == 0,
+        n_admissible=(q_star - 1) % n1 == 0,
         zeroless=zero is None,
         nonunital=not units,
+        cycles=cycles,
     )
+
+
+def to_json(report: Optional[StructureReport] = None, group=None) -> str:
+    """Compact JSON text of a report, of a `groups.GroupDecomposition`, or of both.
+
+    Report keys come in `REPORT_KEYS` order, then the decomposition's under
+    "group".  The text is `json.dumps(..., separators=(",", ":"))` of
+    `report_to_dict` and `groups.decomposition_to_dict`, which parse it; it
+    holds integers, fixed keys and None, True and False, respelled last.
+    """
+    ints = lambda xs: "[" + ",".join(map(str, xs)) + "]"
+    parts = []
+    if report is not None:
+        r, fr, d = report, report.ring, report.ring.ring
+        orders = ",".join([f'"{k}":{o}' for k, o in enumerate(r.element_orders)])
+        parts.append(
+            f'"a":{d.a},"b":{d.b},"m":{d.m},"n":{d.n},"I":{d.i_shape},"J":{d.j_shape},'
+            f'"q":{fr.q},"q_star":{r.q_star},"n_admissible":{r.n_admissible},'
+            f'"zero":{r.zero},"units":{ints(r.units)},"kappa_e":{r.kappa_e},'
+            f'"is_field":{r.is_field},"chi_p":{r.chi_p},"lambda_p":{r.lambda_p},'
+            f'"zeroless":{r.zeroless},"nonunital":{r.nonunital},'
+            f'"element_orders":{{{orders}}}')
+    if group is not None:
+        g = group
+        refl = ",".join([f'"{k}":{l}' for k, l in g.reflections])
+        body = (f'"subgroups":[{",".join(map(ints, g.subgroups))}],'
+                f'"units":{ints(g.unit_subgroup)},"split":{g.unit_subgroup_split},'
+                f'"covers":{g.covers},"primitive":{ints(g.primitive_elements)},'
+                f'"reflections":{{{refl}}}')
+        parts.append(body if report is None else f'"group":{{{body}}}')
+    text = "{" + ",".join(parts) + "}"
+    return text.replace("None", "null").replace("True", "true").replace("False", "false")
 
 
 def report_to_dict(report: StructureReport) -> dict:
     """Flat JSON-ready dict with the stable key order golden files rely on."""
-    fr = report.ring
-    d = fr.ring
-    return {
-        "a": d.a,
-        "b": d.b,
-        "m": d.m,
-        "n": d.n,
-        "I": d.i_shape,
-        "J": d.j_shape,
-        "q": fr.q,
-        "q_star": report.q_star,
-        "n_admissible": report.n_admissible,
-        "zero": report.zero,
-        "units": list(report.units),
-        "kappa_e": report.kappa_e,
-        "is_field": report.is_field,
-        "chi_p": report.chi_p,
-        "lambda_p": report.lambda_p,
-        "zeroless": report.zeroless,
-        "nonunital": report.nonunital,
-        "element_orders": {str(k): o for k, o in enumerate(report.element_orders)},
-    }
+    return json.loads(to_json(report))

@@ -3,20 +3,22 @@
 Cyclic subgroups generated by polyadic powers, the split between them
 and the subgroup of units, primitive elements, and reflections (elements
 a power of which lands on a unit).  Every function here takes the ring's
-`finite.StructureReport`.  Primitive elements are read off its element
-orders.  Subgroups and reflections come from one walk of each cycle of
-`finite.power_cycles`: the subgroup an element generates is a slice of
-its cycle, built once per distinct slice, and its reflection solves a
+`finite.StructureReport` and walks nothing on a field: primitive
+elements are read off its element orders, and subgroups and reflections
+off the cycles of powers that `finite.structure_report` walked once and
+kept in `report.cycles`.  The subgroup an element generates is a slice
+of its cycle, built once per distinct slice, and its reflection solves a
 linear congruence.  Only an element without an order, which no field
 has, is walked on its own.  Nothing is cached.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .errors import NotAFieldError, NoUnitsError
-from .finite import FiniteRing, StructureReport, power_cycles, power_orbit
+from .finite import FiniteRing, StructureReport, power_orbit, to_json
 
 
 @dataclass(frozen=True)
@@ -37,109 +39,99 @@ def _require_field(report: StructureReport) -> None:
         raise NotAFieldError(f"{report.ring!r} is not a polyadic field")
 
 
-def _places(report: StructureReport) -> tuple[tuple[tuple[int, ...], ...], list, list]:
-    """The cycles of `finite.power_cycles`, where each index sits, and each unit.
+def cyclic_subgroup(report: StructureReport, k: int) -> frozenset[int]:
+    """The cyclic n-ary subgroup generated by a non-zero element, a slice of its cycle.
 
-    Returns the cycles, per index its (cycle number, place) on the last
-    cycle that holds it (None if it has no order and so is on none), and
-    per cycle the place of the unit on it (None if it holds none).
+    On a cycle w of `report.cycles` that holds k at place i, it is
+    w[i mod g::g] with g = len(w) / ord(k) (`_subgroups_and_reflections`).
     """
-    units = set(report.units)
-    cycles = power_cycles(report.ring)
-    places: list = [None] * report.ring.q
-    unit_places: list = [None] * len(cycles)
-    for c, cycle in enumerate(cycles):
-        for i, x in enumerate(cycle):
-            places[x] = (c, i)
-            if x in units:
-                unit_places[c] = i
-    return cycles, places, unit_places
+    _require_field(report)
+    if k == report.zero or not 0 <= k < report.ring.q:
+        raise ValueError(f"{k} is not a non-zero element of {report.ring!r}")
+    cycle = next(w for w in report.cycles if k in w)  # a field's cycles hold every one
+    g = len(cycle) // report.element_orders[k]
+    return frozenset(cycle[cycle.index(k) % g::g])
 
 
-def _slice(report: StructureReport, cycles, places, k: int) -> tuple[int, int, int]:
-    """(c, g, j) such that k generates the slice cycles[c][j::g].
+def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, int]]:
+    """The subgroups the non-units generate, and their reflections, in one loop.
 
-    For k = w[i] on a cycle w of length o, g = gcd(o, 1 + i(n-1)) and
-    j = i mod g; g is read off the report as o / ord(k).
+    Every element k that is neither a unit nor the zero is taken in index
+    order, at its place i on the last cycle w of `report.cycles` that
+    holds it.  With o = len(w), e_i = 1 + i(n-1) and g = gcd(o, e_i), read
+    off the report as o / ord(k):
+
+    - k generates the slice w[j::g] with j = i mod g, built once per (w, g, j).
+    - With a unit at place t of w, k reaches a unit first after
+      l = (t - i)/g * (e_i/g)^-1 modulo o/g = ord(k) powers if g | t - i,
+      and never otherwise.
 
     Proof sketch.  The l-th power of w[i] is w[(i + l*e_i) mod o] with
     e_i = 1 + i(n-1) (`finite.structure_report`).  As l runs over the
     integers, l*e_i runs over the multiples of g modulo o, so the powers
-    are exactly the places congruent to i modulo g.
+    are exactly the places congruent to i modulo g.  Every power of k
+    lies on w, so only units on w can be reached, and a cycle holds at
+    most one unit: a unit e has order 1, since mu[e^(n-1), e] = e, and
+    w[t] has order 1 iff o | 1 + t(n-1), which forces gcd(o, n-1) = 1;
+    two such places t, t' then give o | (t - t')(n-1), so t = t'.  The
+    least l >= 1 solves l*e_i = t - i (mod o), which has the stated
+    solutions by the usual rule; l = 0 would mean t = i, that is k a
+    unit.  An index with no order is on no cycle and is walked by
+    `finite.power_orbit` instead; its walk holds every index that any
+    power reaches.
     """
-    c, i = places[k]
-    g = len(cycles[c]) // report.element_orders[k]
-    return c, g, i % g
-
-
-def cyclic_subgroup(report: StructureReport, k: int) -> frozenset[int]:
-    """The cyclic n-ary subgroup generated by a non-zero element, a slice of its cycle."""
-    _require_field(report)
-    if report.zero == k:
-        raise ValueError("the zero generates no multiplicative subgroup")
-    cycles, places, _ = _places(report)
-    c, g, j = _slice(report, cycles, places, k)
-    return frozenset(cycles[c][j::g])
-
-
-def _nonunits(report: StructureReport) -> list[int]:
-    """Every element that is neither a unit nor the zero, in index order."""
+    q, n1 = report.ring.q, report.ring.ring.n - 1
+    orders, cycles, zero = report.element_orders, report.cycles, report.zero
     units = set(report.units)
-    return [k for k in report.ring.elements() if k not in units and k != report.zero]
-
-
-def _reflection_map(report: StructureReport, nonunits: list[int],
-                    cycles, places, unit_places) -> dict[int, int]:
-    """Least l >= 1 per non-unit with its l-th power on a unit, where one exists.
-
-    For k = w[i] on a cycle w of length o, with e_i = 1 + i(n-1),
-    g = gcd(o, e_i) and a unit at place t of w, l is the least solution of
-    l*e_i = t - i (mod o): none unless g | t - i, and otherwise
-    l = (t - i)/g * (e_i/g)^-1 modulo o/g = ord(k).
-
-    Proof sketch.  The l-th power of k is w[(i + l*e_i) mod o]
-    (`finite.structure_report`), and every power of k lies on w, so only
-    units on w can be reached.  A cycle holds at most one unit: a unit e
-    has order 1, since mu[e^(n-1), e] = e, and w[t] has order 1 iff
-    o | 1 + t(n-1), which forces gcd(o, n-1) = 1; two such places t, t'
-    then give o | (t - t')(n-1), so t = t'.  The congruence has the
-    stated solutions by the usual rule, and l = 0 would mean t = i, that
-    is k a unit.  An index with no order is walked by `finite.power_orbit`
-    instead; its walk holds every index that any power reaches.
-    """
-    n = report.ring.ring.n
-    orders = report.element_orders
-    units = set(report.units)
-    out = {}
-    for k in nonunits:
-        if places[k] is None:
+    # Flat tables: per-index (cycle, place) tuples would stay in CPython's
+    # tuple free lists after the call and raise the peak RSS of a scan.
+    cycle_of, place, unit_place = [-1] * q, [0] * q, [-1] * len(cycles)
+    for c, cycle in enumerate(cycles):
+        for i, x in enumerate(cycle):
+            cycle_of[x] = c
+            place[x] = i
+            if x in units:
+                unit_place[c] = i
+    # The iteration order of `candidates` breaks ties between subgroups
+    # with the same least element in the sort in `decompose`, so it is part
+    # of the output bytes until that sort uses the whole tuple.  Keep it:
+    # add each subgroup once, in order of its first generator.  Building the
+    # set at once from a dict pre-sizes its table and reorders the ties.
+    candidates, built, refl = set(), set(), {}
+    for k in range(q):
+        if k in units or k == zero:
+            continue
+        c = cycle_of[k]
+        if c < 0:
             walk = power_orbit(report.ring, k)
             l = next((l for l in range(1, len(walk)) if walk[l] in units), None)
             if l is not None:
-                out[k] = l
+                refl[k] = l
             continue
-        c, i = places[k]
-        t = unit_places[c]
-        g = len(cycles[c]) // orders[k]
-        if t is not None and (t - i) % g == 0:
-            out[k] = (t - i) // g * pow((1 + i * (n - 1)) // g, -1, orders[k]) % orders[k]
-    return out
+        i, o, cycle, t = place[k], orders[k], cycles[c], unit_place[c]
+        g = len(cycle) // o
+        key = (c, g, i % g)
+        if key not in built:
+            built.add(key)
+            candidates.add(frozenset(cycle[i % g::g]))
+        if t >= 0 and (t - i) % g == 0:
+            refl[k] = (t - i) // g * pow((1 + i * n1) // g, -1, o) % o
+    return candidates, refl
 
 
 def reflections(report: StructureReport) -> dict[int, int]:
     """Least l per non-unit with the l-th power on a unit; absent if never."""
     if not report.units:
         raise NoUnitsError(f"{report.ring!r} has no unit")
-    return _reflection_map(report, _nonunits(report), *_places(report))
+    return _subgroups_and_reflections(report)[1]
 
 
 def primitive_elements(report: StructureReport) -> tuple[frozenset[int], int]:
     """Non-zero elements whose idempotence order is the full reduced order."""
     _require_field(report)
-    prim = frozenset(
-        k for k, order in enumerate(report.element_orders)
-        if k != report.zero and order == report.q_star
-    )
+    zero, q_star = report.zero, report.q_star
+    prim = frozenset(k for k, order in enumerate(report.element_orders)
+                     if order == q_star and k != zero)
     return prim, len(prim)
 
 
@@ -148,44 +140,26 @@ def decompose(report: StructureReport) -> GroupDecomposition:
 
     Subgroups are generated by non-unit, non-zero elements; the units form
     their own subgroup reported separately.  All flags are computed, never
-    assumed: disjointness and coverage may legitimately fail.  Each cycle
-    is walked once, and each distinct slice of it (`_slice`) is built
-    once.
+    assumed: disjointness and coverage may legitimately fail.  One loop
+    over the report's cycles gives the subgroups and the reflections
+    (`_subgroups_and_reflections`).
     """
     _require_field(report)
     units = set(report.units)
-    zero = report.zero
-    nonzero = {k for k in report.ring.elements() if k != zero}
-    cycles, places, unit_places = _places(report)
-    # The iteration order of `candidates` breaks ties between subgroups
-    # with the same least element in the sort below, so it is part of the
-    # output bytes until that sort uses the whole tuple.  Keep it: add
-    # each subgroup once, in order of its first generator.  Building the
-    # set at once from a dict pre-sizes its table and reorders the ties.
-    nonunits = _nonunits(report)
-    candidates: set[frozenset[int]] = set()
-    built = set()
-    for k in nonunits:
-        key = _slice(report, cycles, places, k)
-        if key not in built:
-            built.add(key)
-            c, g, j = key
-            candidates.add(frozenset(cycles[c][j::g]))
+    nonzero = set(report.ring.elements())
+    nonzero.discard(report.zero)
+    candidates, refl = _subgroups_and_reflections(report)  # its order breaks ties below
     maximal = [g for g in candidates if not any(g < h for h in candidates)]
     subgroups = tuple(sorted((tuple(sorted(g)) for g in maximal), key=lambda g: g[0]))
     union = set().union(*subgroups)
-    disjoint = len(union) == sum(map(len, subgroups))
-    covers = union | units == nonzero
-    split = units.isdisjoint(union)
     prim, kappa = primitive_elements(report)
-    refl = _reflection_map(report, nonunits, cycles, places, unit_places)
     return GroupDecomposition(
         ring=report.ring,
         subgroups=subgroups,
         unit_subgroup=tuple(sorted(units)),
-        unit_subgroup_split=split,
-        covers=covers,
-        pairwise_disjoint=disjoint,
+        unit_subgroup_split=units.isdisjoint(union),
+        covers=union | units == nonzero,
+        pairwise_disjoint=len(union) == sum(map(len, subgroups)),
         primitive_elements=tuple(sorted(prim)),
         kappa_prim=kappa,
         reflections=tuple(sorted(refl.items())),
@@ -194,11 +168,4 @@ def decompose(report: StructureReport) -> GroupDecomposition:
 
 def decomposition_to_dict(dec: GroupDecomposition) -> dict:
     """JSON payload attached under the `group` key of a ring report."""
-    return {
-        "subgroups": [list(g) for g in dec.subgroups],
-        "units": list(dec.unit_subgroup),
-        "split": dec.unit_subgroup_split,
-        "covers": dec.covers,
-        "primitive": list(dec.primitive_elements),
-        "reflections": {str(k): l for k, l in dec.reflections},
-    }
+    return json.loads(to_json(group=dec))

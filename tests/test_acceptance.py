@@ -381,14 +381,14 @@ def test_criterion_9_property_suites(
 # ------------------------------------------------------------------ 10
 
 def test_criterion_10_determinism(tmp_path):
-    with criterion(10, "determinism across thread counts"):
+    with criterion(10, "determinism across hash seeds"):
         outputs = []
         scans = []
-        for threads in (1, 4):
+        for seed in (0, 1):
             env = {**os.environ,
                    "PYTHONPATH": os.pathsep.join(sys.path),
-                   "POLYADIC_THREADS": str(threads)}
-            outdir = tmp_path / f"run{threads}"
+                   "PYTHONHASHSEED": str(seed)}
+            outdir = tmp_path / f"run{seed}"
             subprocess.run(
                 [sys.executable, "-m", "polyadic.cli", "table",
                  "--out", str(outdir)],
