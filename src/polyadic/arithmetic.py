@@ -12,9 +12,8 @@ factors its value once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import NonUniqueQuotientError, NotLimitingError, NotUnitalError
 from .ring import PolyInt, RingDescriptor
@@ -22,8 +21,7 @@ from .ring import PolyInt, RingDescriptor
 _DEFAULT_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class CompositionSet:
+class CompositionSet(NamedTuple):
     """Factors appearing in any admissible product equal to `element`."""
 
     element: PolyInt
@@ -31,8 +29,7 @@ class CompositionSet:
     decompositions: tuple[tuple[PolyInt, ...], ...]
 
 
-@dataclass(frozen=True)
-class PrimeScan:
+class PrimeScan(NamedTuple):
     descriptor: RingDescriptor
     k_max: int
     primes: tuple[PolyInt, ...]

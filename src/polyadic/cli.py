@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 forbidden residue pair, 3 not a field where a
 field is required, 4 bad arguments, 5 the --out path or stdout cannot be
-written (closed pipe, full disk).
+written (closed pipe, full disk).  Integers are printed in full however
+many digits they have, so J never fails for its size.
 Output is deterministic for a given argv: scans classify one ring at a
 time in (b, a, q) order and write each line as soon as it is made, from
 one `finite.structure_report` and, on a field, one `groups.decompose`,
@@ -271,6 +272,10 @@ def _cmd_scan(args) -> Iterator[str]:
 
 
 def main(argv=None) -> int:
+    # Results are exact, and J = (a^n - a)/b can have hundreds of thousands
+    # of digits; CPython >= 3.11 refuses to print an int over 4300 digits.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         handler = {

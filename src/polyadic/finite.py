@@ -16,14 +16,18 @@ and an index that has no order is recognised by a gcd test without a
 walk.  `structure_report` walks the cycles once and keeps them on the
 report, where `groups` reads them.  `to_json` is the one JSON writer of
 reports and group decompositions.  Nothing is cached.
+
+`FiniteRing` and `StructureReport` are `typing.NamedTuple`s, not
+dataclasses, so that no process pays for importing `dataclasses` (see
+`ring`): they iterate, compare equal to a plain tuple of their fields
+and offer `_asdict()`.  A record hashes as the tuple of its fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ArityMismatchError, NoFiniteOrderError
 from .ring import RingDescriptor, make_descriptor
@@ -35,16 +39,24 @@ REPORT_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class FiniteRing:
-    """Secondary-class ring of order q over a ring descriptor."""
-
+class _FiniteFields(NamedTuple):
     ring: RingDescriptor
     q: int
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"order must be positive, got {self.q}")
+
+class FiniteRing(_FiniteFields):
+    """Secondary-class ring of order q over a ring descriptor; q < 1 raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, ring: RingDescriptor, q: int):
+        if q < 1:
+            raise ValueError(f"order must be positive, got {q}")
+        return tuple.__new__(cls, (ring, q))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def modulus(self) -> int:
@@ -306,8 +318,7 @@ def _least_additive_steps(fr: FiniteRing, e: int, zero: int) -> Optional[int]:
     return l0 or period
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Classification of one finite ring.
 
     `cycles` keeps the cycles of `power_cycles`, which `groups` reads; it

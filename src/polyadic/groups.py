@@ -10,19 +10,22 @@ kept in `report.cycles`.  The subgroup an element generates is a slice
 of its cycle, built once per distinct slice, and its reflection solves a
 linear congruence.  Only an element without an order, which no field
 has, is walked on its own.  Nothing is cached.
+
+`GroupDecomposition` is a `typing.NamedTuple`, not a dataclass, so that
+no process pays for importing `dataclasses` (see `ring`): it iterates,
+compares equal to a plain tuple of its fields and offers `_asdict()`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotAFieldError, NoUnitsError
 from .finite import FiniteRing, StructureReport, power_orbit, to_json
 
 
-@dataclass(frozen=True)
-class GroupDecomposition:
+class GroupDecomposition(NamedTuple):
     ring: FiniteRing
     subgroups: tuple[tuple[int, ...], ...]
     unit_subgroup: tuple[int, ...]

@@ -21,6 +21,12 @@ A deviation scanner compares the generated cells against the published
 reference tables and writes every difference, adjudicated or not, to
 deviations.md.  Only that scanner reads `reference`, so it alone imports
 that module, and no other command compiles its literals.
+
+The cells (`T0Cell`, `T1Cell`, `T1Orders`, `T2Cell`) are
+`typing.NamedTuple`s, not dataclasses, so that no process pays for
+importing `dataclasses` (see `ring`).  The JSON renderers read a cell's
+fields with `_asdict()`; cells also iterate and compare equal to a plain
+tuple of their fields.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import UnknownFieldIdError
 from .finite import StructureReport, finite_ring, mult_querelements, structure_report
@@ -59,8 +64,7 @@ def _unit_and_zero(report: StructureReport) -> bool:
 
 # ---------------------------------------------------------------- T2
 
-@dataclass(frozen=True)
-class T2Cell:
+class T2Cell(NamedTuple):
     a: int
     b: int
     m: int
@@ -109,8 +113,7 @@ def generate_t2(b_max: int = 10, q_max: int = 10,
 
 # ---------------------------------------------------------------- T0
 
-@dataclass(frozen=True)
-class T0Cell:
+class T0Cell(NamedTuple):
     a: int
     b: int
     m: int
@@ -137,8 +140,7 @@ def generate_t0(b_max: int = 6, q_max: int = 10,
 
 # ---------------------------------------------------------------- T1
 
-@dataclass(frozen=True)
-class T1Cell:
+class T1Cell(NamedTuple):
     a: int
     b: int
     m: int
@@ -149,8 +151,7 @@ class T1Cell:
     unit_and_zero: bool
 
 
-@dataclass(frozen=True)
-class T1Orders:
+class T1Orders(NamedTuple):
     a: int
     b: int
     orders: tuple[tuple[int, bool], ...]  # field orders 5..10, bold = unit+zero
@@ -236,7 +237,7 @@ def _dump_json(obj) -> str:
 
 
 def t2_to_json(cells: list[T2Cell]) -> str:
-    return _dump_json([cell.__dict__ for cell in cells])
+    return _dump_json([cell._asdict() for cell in cells])
 
 
 def t2_to_csv(cells: list[T2Cell]) -> str:
@@ -288,7 +289,7 @@ def t2_to_md(cells: list[T2Cell]) -> str:
 
 
 def t0_to_json(cells: list[T0Cell]) -> str:
-    return _dump_json([cell.__dict__ for cell in cells])
+    return _dump_json([cell._asdict() for cell in cells])
 
 
 def t0_to_csv(cells: list[T0Cell]) -> str:
@@ -328,7 +329,7 @@ def _t1_elements_text(cell: T1Cell) -> str:
 def t1_to_json(cells: list[T1Cell], orders: list[T1Orders]) -> str:
     payload = {
         "cells": [
-            {**c.__dict__, "elements": [list(e) for e in c.elements]} for c in cells
+            {**c._asdict(), "elements": [list(e) for e in c.elements]} for c in cells
         ],
         "orders": [
             {"a": o.a, "b": o.b, "orders": [list(e) for e in o.orders]} for o in orders

@@ -113,6 +113,37 @@ class TestExamples:
         assert proc.stderr.decode() == "error: cannot write stdout: No space left on device\n"
 
 
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift CPython's limit on converting ints of over 4300 digits, where it exists."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+class TestExactIntegers:
+    @pytest.mark.parametrize("command", [
+        ["arity"], ["ring", "--format", "json"], ["finite", "--q", "5", "--format", "json"],
+    ], ids=["arity", "ring", "finite"])
+    def test_shape_invariant_beyond_the_digit_limit_is_printed(
+            self, command, unlimited_int_digits):
+        # n = 30011 for [[2]]_30011, so J = (2^n - 2)/30011 has 9,030 digits,
+        # over CPython's default int-to-str limit of 4300.
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyadic.cli", *command, "--a", "2", "--b", "30011"],
+            capture_output=True, text=True, env=RUN_ENV, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert len(str(payload["J"])) > 4300
+        assert payload["J"] * 30011 == 2 ** payload["n"] - 2
+
+
 class TestPayloads:
     def test_primes_json(self, capsys):
         code, out, _ = run_main(

@@ -9,20 +9,25 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import polyadic
 
 RUN_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-PRINT_LOADED = ("import json, sys\n"
-                "loaded = sorted(m for m in sys.modules if m.startswith('polyadic.'))\n"
-                "print(json.dumps(loaded), file=sys.stderr)\n")
+PRINT_LOADED = "import json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+
+
+def modules_after(script: str) -> set[str]:
+    """Names of every module in sys.modules once `script` has run."""
+    proc = subprocess.run([sys.executable, "-c", script + "\n" + PRINT_LOADED],
+                          capture_output=True, text=True, env=RUN_ENV, check=True)
+    return set(json.loads(proc.stderr.splitlines()[-1]))
 
 
 def loaded_after(script: str) -> set[str]:
     """Names of the polyadic submodules in sys.modules once `script` has run."""
-    proc = subprocess.run([sys.executable, "-c", script + "\n" + PRINT_LOADED],
-                          capture_output=True, text=True, env=RUN_ENV, check=True)
-    return {name.removeprefix("polyadic.")
-            for name in json.loads(proc.stderr.splitlines()[-1])}
+    return {name.removeprefix("polyadic.") for name in modules_after(script)
+            if name.startswith("polyadic.")}
 
 
 def run_script(script: str) -> str:
@@ -72,3 +77,18 @@ def test_unknown_name_raises_attribute_error():
         "from polyadic import reference\n"
         "print(polyadic.reference is reference)\n")
     assert out == "AttributeError no_such_name\nAttributeError reference\nTrue\n"
+
+
+# Importing `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, 8-12 ms
+# of start-up in every process; records are NamedTuples instead.
+@pytest.mark.parametrize("script", [
+    "import polyadic.cli",
+    "from polyadic.cli import main\n"
+    "assert main(['group', '--a', '2', '--b', '3', '--q', '5']) == 0",
+    "from polyadic.cli import main\n"
+    "assert main(['table', '--out', {out!r}]) == 0",
+    "import polyadic.arithmetic",
+], ids=["import-cli", "group", "table-out", "import-arithmetic"])
+def test_start_up_loads_neither_dataclasses_nor_inspect(script, tmp_path):
+    loaded = modules_after(script.format(out=str(tmp_path)))
+    assert not loaded & {"dataclasses", "inspect"}
