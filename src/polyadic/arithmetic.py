@@ -7,13 +7,15 @@ factor search goes through one factorisation primitive, `_prime_factors`
 (the small primes divided out, Miller-Rabin with a strong Lucas test
 above its proved bound in `_is_binary_prime`, Pollard-Brent rho in
 `_rho`); divisors are built from the prime powers, and a decomposition
-factors its value once.
+factors its value once.  `divide_with_remainder` yields its pairs in
+increasing quotient index from a generator, so its memory does not grow
+with the search radius.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import NonUniqueQuotientError, NotLimitingError, NotUnitalError
 from .ring import PolyInt, RingDescriptor
@@ -465,36 +467,54 @@ def polyadic_divide(x1: PolyInt, x2: PolyInt) -> Optional[PolyInt]:
 
 def divide_with_remainder(
     x1: PolyInt, x2: PolyInt, search_radius: Optional[int] = None
-) -> list[tuple[PolyInt, PolyInt]]:
-    """All (q, r) with x1 = x2*q^(n-1) + (m-1)*r and both q, r in the class.
+) -> Iterator[tuple[PolyInt, PolyInt]]:
+    """Every (q, r) with x1 = x2*q^(n-1) + (m-1)*r and both q, r in the class.
 
     The remainder equation is linear in r, so only q = a + b*k_q is
     searched, over |k_q| <= search_radius (default |k of x1| + 64).
-    Results may be legitimately non-unique; the list is ordered by k_q.
+    Results may be legitimately non-unique.  The arguments are checked
+    here, at the call; the pairs come from a generator, in increasing k_q.
+    It keeps no pair once yielded, only the good offsets of one block of
+    m - 1 indices, so the memory of the search does not grow with the
+    radius.  Consume the result once, or wrap it in `list` to reuse it.
 
     Only the residues of k_q modulo w = m - 1 are tested.  With
     t = x1 - x2*q^(n-1), r = t/w is an integer in [[a]]_b exactly when
     t = a*w (mod b*w).  Since b*w divides b*(k_q - k_q mod w), q is
     congruent to a + b*(k_q mod w) modulo b*w, so t mod b*w, and with it
-    the verdict, depends on k_q only through k_q mod w.  The first w
-    indices of the range carry every residue that occurs in it.
+    the verdict, depends on k_q only through k_q mod w.
+
+    Every hit is found: write k = -R + i*w + j with 0 <= j < w, R the
+    radius.  Then -R + j <= k <= R, so -R + j lies in the first block
+    [-R, min(-R + w, R + 1)) and shares k's residue modulo w; the good
+    offsets j found there are exactly those of all hits.  The order is
+    increasing: block i covers [-R + i*w, -R + (i+1)*w), the blocks are
+    visited in increasing i and the offsets in increasing j.
     """
     ring = x1.ring
     if ring != x2.ring:
         raise ValueError("dividend and divisor belong to different rings")
     if search_radius is None:
         search_radius = abs(x1.k) + 64
+    if search_radius < 0:
+        raise ValueError("search_radius must be >= 0")
+    return _remainder_pairs(ring, x1.value, x2.value, search_radius)
+
+
+def _remainder_pairs(ring: RingDescriptor, v1: int, v2: int,
+                     radius: int) -> Iterator[tuple[PolyInt, PolyInt]]:
+    # The search of divide_with_remainder, which proves it, over |k| <= radius.
     a, b, e, w = ring.a, ring.b, ring.n - 1, ring.m - 1
-    v1, v2, mod = x1.value, x2.value, b * w
-    first = range(-search_radius, min(-search_radius + w, search_radius + 1))
-    hits = sorted(k for k0 in first
-                  if (v1 - v2 * pow(a + b * k0, e, mod) - a * w) % mod == 0
-                  for k in range(k0, search_radius + 1, w))
-    pairs = []
-    for k in hits:
-        r = (v1 - v2 * (a + b * k) ** e) // w
-        pairs.append((PolyInt(ring, k), PolyInt(ring, (r - a) // b)))
-    return pairs
+    mod = b * w
+    good = [j for j in range(min(w, 2 * radius + 1))
+            if (v1 - v2 * pow(a + b * (j - radius), e, mod) - a * w) % mod == 0]
+    for start in range(-radius, radius + 1, w):
+        for j in good:
+            k = start + j
+            if k > radius:
+                return
+            r = (v1 - v2 * (a + b * k) ** e) // w
+            yield PolyInt(ring, k), PolyInt(ring, (r - a) // b)
 
 
 def euler_scan(

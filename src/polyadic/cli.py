@@ -7,7 +7,9 @@ many digits they have, so J never fails for its size.
 Output is deterministic for a given argv: scans classify one ring at a
 time in (b, a, q) order and write each line as soon as it is made, from
 one `finite.structure_report` and, on a field, one `groups.decompose`,
-with one descriptor per (a, b).  Every JSON report and decomposition is
+with one descriptor per (a, b).  `remainder` likewise writes each pair,
+in increasing quotient index, as the search yields it, so its memory does
+not grow with --radius.  Every JSON report and decomposition is
 written by `finite.to_json`.  Each command accepts only the --format
 values that change its output (`_FORMATS`).
 
@@ -191,7 +193,11 @@ def _cmd_divide(args) -> str:
     return ("none" if result is None else str(result.value)) + "\n"
 
 
-def _cmd_remainder(args) -> str:
+def _cmd_remainder(args) -> str | Iterator[str]:
+    # The pairs are written as the search yields them, so no output of any
+    # radius is held whole; the first is taken here to tell an empty search.
+    from itertools import chain
+
     from .arithmetic import divide_with_remainder
 
     d = make_descriptor(args.a, args.b)
@@ -200,12 +206,16 @@ def _cmd_remainder(args) -> str:
     x1 = d.from_value(args.dividend)
     pairs = divide_with_remainder(x1, d.from_value(args.divisor),
                                   abs(x1.k) + args.radius)
+    first = next(pairs, None)
     if args.format == "json":
-        return json.dumps([[q.value, r.value] for q, r in pairs],
-                          separators=(",", ":")) + "\n"
-    if not pairs:
+        if first is None:
+            return "[]\n"
+        q, r = first
+        return chain([f"[[{q.value},{r.value}]"],
+                     (f",[{q.value},{r.value}]" for q, r in pairs), ["]\n"])
+    if first is None:
         return "no remainder pairs in the searched range\n"
-    return "".join(f"({q.value}, {r.value})\n" for q, r in pairs)
+    return (f"({q.value}, {r.value})\n" for q, r in chain([first], pairs))
 
 
 def _cmd_finite(args) -> str:

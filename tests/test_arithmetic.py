@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -24,6 +25,7 @@ from polyadic.arithmetic import _is_binary_prime, _prime_factors, _strong_lucas
 from polyadic.errors import NotLimitingError, NotUnitalError
 from polyadic.oracle import oracle_is_prime
 from polyadic.ring import make_descriptor, mu, nu
+from polyadic.tables import grid_pairs
 
 EVEN_RING = make_descriptor(8, 10)  # (6,5)-ring of even representatives
 
@@ -227,8 +229,11 @@ class TestDivision:
         assert lhs is not None and lhs == rhs
 
     def test_remainder_published_pair(self):
-        pairs = divide_with_remainder(EVEN_RING.from_value(38), EVEN_RING.from_value(-22))
+        # A list, since the pairs are read twice.
+        pairs = list(divide_with_remainder(EVEN_RING.from_value(38),
+                                           EVEN_RING.from_value(-22)))
         assert (-2, 78) in [(q.value, r.value) for q, r in pairs]
+        assert len(pairs) > 1
         for q, r in pairs:
             assert -22 * q.value**4 + 5 * r.value == 38
             assert r.value % 10 == 8
@@ -250,6 +255,25 @@ class TestDivision:
         pairs = divide_with_remainder(
             EVEN_RING.from_value(38), EVEN_RING.from_value(-22), search_radius=1)
         assert [(q.value, r.value) for q, r in pairs] == [(-2, 78)]
+
+    def test_remainder_bad_arguments_raise_at_the_call(self):
+        x1, x2 = EVEN_RING.from_value(38), EVEN_RING.from_value(-22)
+        with pytest.raises(ValueError, match="search_radius"):
+            divide_with_remainder(x1, x2, -5)
+        with pytest.raises(ValueError, match="different rings"):
+            divide_with_remainder(x1, make_descriptor(3, 4).from_value(3))
+
+    def test_remainder_memory_does_not_grow_with_the_radius(self):
+        # 20,000 pairs; the list the search used to build peaked near 5 MB.
+        x1, x2 = EVEN_RING.from_value(38), EVEN_RING.from_value(-22)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in divide_with_remainder(x1, x2, 50_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 20_000
+        assert peak < 256 * 1024
 
 
 def totient(n):
@@ -387,15 +411,17 @@ class TestLargeDecompositions:
 
 
 class TestRemainderResidues:
-    @pytest.mark.parametrize("pair", [(8, 10), (3, 4), (2, 7), (1, 13), (0, 1), (4, 6)])
+    @pytest.mark.parametrize("pair", [(0, 1)] + grid_pairs(12) + [(1, 13)])
     def test_matches_the_plain_search(self, pair):
-        # m - 1 is 5, 4, 7, 13, 1 and 3 here; radii below and above m - 1.
+        # Every allowed ring with b <= 12, the binary limit and w = 13:
+        # w = m - 1 runs from 1 to 13.  Radii 0 .. 2w + 1 give partial first
+        # and last blocks, a single block and more than two; 40 gives many.
         ring = make_descriptor(*pair)
         w, e = ring.m - 1, ring.n - 1
         for k1 in range(-30, 31, 7):
             for k2 in range(-9, 10, 4):
                 x1, x2 = ring.element(k1), ring.element(k2)
-                for radius in (0, 1, 2, 5, 40):
+                for radius in [*range(2 * w + 2), 40]:
                     expected = []
                     for k in range(-radius, radius + 1):
                         q = ring.a + ring.b * k

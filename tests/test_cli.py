@@ -170,6 +170,36 @@ class TestPayloads:
             "--radius", "2", "--format", "json")
         assert [-2, 78] in json.loads(out)
 
+    # The bytes of the command when it built the whole list before printing.
+    @pytest.mark.parametrize("values, fmt, expected", [
+        (("8", "10", "38", "-22"), "json", "[[-2,78],[48,23357038]]\n"),
+        (("8", "10", "38", "-22"), "text", "(-2, 78)\n(48, 23357038)\n"),
+        (("3", "4", "-9", "-9"), "json", "[]\n"),
+        (("3", "4", "-9", "-9"), "text", "no remainder pairs in the searched range\n"),
+    ], ids=["pairs-json", "pairs-text", "empty-json", "empty-text"])
+    def test_remainder_bytes(self, capsys, values, fmt, expected):
+        a, b, x1, x2 = values
+        code, out, _ = run_main(
+            capsys, "remainder", "--a", a, "--b", b, "--dividend", x1,
+            "--divisor", x2, "--radius", "2", "--format", fmt)
+        assert code == 0 and out == expected
+
+    def test_remainder_json_is_json_dumps(self, capsys, tmp_path):
+        from polyadic.arithmetic import divide_with_remainder
+        from polyadic.ring import make_descriptor
+
+        d = make_descriptor(8, 10)
+        pairs = divide_with_remainder(d.from_value(38), d.from_value(-22), 3 + 300)
+        expected = json.dumps([[q.value, r.value] for q, r in pairs],
+                              separators=(",", ":")) + "\n"
+        argv = ("remainder", "--a", "8", "--b", "10", "--dividend", "38",
+                "--divisor", "-22", "--radius", "300", "--format", "json")
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0 and out == expected and out.count("],[") == 120
+        path = tmp_path / "pairs.json"
+        assert run_main(capsys, *argv, "--out", str(path))[0] == 0
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_finite_report_keys(self, capsys):
         code, out, _ = run_main(
             capsys, "finite", "--a", "5", "--b", "8", "--q", "2",
