@@ -38,7 +38,6 @@ _EXPORTS = {
         "multiplicative_power",
         "nu",
         "nu_long",
-        "psi_closed_forms",
     ),
     "arithmetic": (
         "CompositionSet",

@@ -66,16 +66,13 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="polyadic", description="Exact polyadic ring and field arithmetic")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, q=False, kmax=False, lmax=False, radius=False, values=False):
+    def common(sp, q=False, kmax=False, radius=False, values=False):
         sp.add_argument("--a", type=int, required=True, help="residue 0 <= a <= b-1")
         sp.add_argument("--b", type=int, required=True, help="modulus b >= 1")
         if q:
             sp.add_argument("--q", type=int, required=True, help="finite ring order")
         if kmax:
             sp.add_argument("--kmax", type=int, required=True, help="index scan bound")
-        if lmax:
-            sp.add_argument("--lmax", type=int, default=3,
-                            help="composition search depth (default 3)")
         if radius:
             sp.add_argument("--radius", type=int, default=64,
                             help="extra quotient-index search radius (default 64)")
@@ -87,7 +84,7 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("arity", help="derive (m, n) and the shape invariants"))
     common(sub.add_parser("ring", help="describe the infinite ring"))
     common(sub.add_parser("primes", help="polyadic prime scan"), kmax=True)
-    common(sub.add_parser("euler", help="polyadic totient scan"), kmax=True, lmax=True)
+    common(sub.add_parser("euler", help="polyadic totient scan"), kmax=True)
     common(sub.add_parser("divide", help="exact polyadic division"), values=True)
     common(sub.add_parser("remainder", help="division with remainder"),
            values=True, radius=True)
@@ -173,7 +170,7 @@ def _cmd_euler(args) -> str:
     from .arithmetic import euler_scan
 
     d = make_descriptor(args.a, args.b)
-    members, phi = euler_scan(d, args.kmax, args.lmax)
+    members, phi = euler_scan(d, args.kmax)
     if args.format == "json":
         return json.dumps({"members": [x.value for x in members], "phi": phi},
                           separators=(",", ":")) + "\n"

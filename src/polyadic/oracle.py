@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -128,10 +128,14 @@ def oracle_units(fr: FiniteRing) -> tuple[int, ...]:
 
 
 def oracle_is_field(fr: FiniteRing) -> bool:
-    """Field verdict from exhaustive tuple enumeration, nothing clever."""
+    """Field verdict from exhaustive tuple enumeration, nothing clever.
+
+    `_add` and `_mul` only sum or multiply their arguments, so the order
+    of a tuple cannot change a verdict: each multiset is visited once.
+    """
     q, m, n = fr.q, fr.ring.m, fr.ring.n
     # Additive m-ary group: every translation solves uniquely.
-    for t in product(range(q), repeat=m - 1):
+    for t in combinations_with_replacement(range(q), m - 1):
         for x in range(q):
             hits = [y for y in range(q) if _add(fr, t + (y,)) == x]
             if len(hits) != 1:
@@ -140,7 +144,7 @@ def oracle_is_field(fr: FiniteRing) -> bool:
     core = [x for x in range(q) if x != zero]
     if not core:
         return False
-    for t in product(core, repeat=n - 1):
+    for t in combinations_with_replacement(core, n - 1):
         for x in core:
             hits = [y for y in core if _mul(fr, t + (y,)) == x]
             if len(hits) != 1:

@@ -3,9 +3,11 @@
 A residue class [[a]]_b = {a + b*k} closes under adding exactly m
 representatives and multiplying exactly n representatives, where m and n
 are the minimal arities satisfying m*a = a (mod b) and a^n = a (mod b).
-This module derives those arities, builds ring descriptors with their
-shape invariants, and evaluates the polyadic operations on exact
-(arbitrary-precision) representatives.
+This module derives those arities in closed form (one gcd test decides
+whether the pair is allowed, and n - 1 is the multiplicative order that
+`factor.multiplicative_order` reads off a factorisation), builds ring
+descriptors with their shape invariants, and evaluates the polyadic
+operations on exact (arbitrary-precision) representatives.
 
 `RingDescriptor` and `PolyInt` are `typing.NamedTuple`s, as is every
 record on the CLI and arithmetic paths (`finite`, `groups`, `tables`,
@@ -24,7 +26,7 @@ whose `__new__` runs the check.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -32,50 +34,30 @@ from .errors import (
     ForbiddenPairError,
     InadmissibleLengthError,
 )
+from .factor import multiplicative_order
 
 
 def derive_arities(a: int, b: int) -> tuple[int, int]:
     """Return the minimal (m, n), both >= 2, closing [[a]]_b under the ring ops.
 
-    Raises ForbiddenPairError when no exponent n >= 2 satisfies
-    a^n = a (mod b); the addition arity m always exists.
+    With d = gcd(a, b) and b0 = b/d, the pair is allowed exactly when
+    gcd(a, b0) = 1, and then m = b0 + 1 and n - 1 is the multiplicative
+    order of a modulo b0; otherwise ForbiddenPairError is raised.
+
+    Proof sketch.  (m-1)*a = 0 (mod b) exactly when b0 divides m - 1, so
+    the least m >= 2 is b0 + 1.  If gcd(a, b0) = 1, then d and b0 are
+    coprime (d divides a), so a^n = a (mod b) splits into mod d, where
+    both sides are 0, and a^(n-1) = 1 (mod b0), whose least n - 1 >= 1 is
+    the order.  If a prime p divides both a and b0, then v_p(d) < v_p(b)
+    forces v_p(a) = v_p(d) < v_p(b); as a^(n-1) - 1 = -1 (mod p),
+    v_p(a^n - a) = v_p(a) < v_p(b) for every n >= 2, so no n exists.
+    a = 0 gives b0 = 1, hence (2, 2).
     """
     _check_residue(a, b)
-    # (m-1)*a = 0 (mod b) exactly when b/gcd(a,b) divides m-1.
-    m = b // gcd(a, b) + 1 if a else 2
-    # Powers of a modulo b repeat within b steps, so scanning to b+1 is enough.
-    p = a % b
-    for n in range(2, b + 2):
-        p = (p * a) % b
-        if p == a % b:
-            return m, n
-    raise ForbiddenPairError(a, b)
-
-
-def psi_closed_forms(a: int, b: int) -> Optional[tuple[int, int]]:
-    """Closed-form arity pair for (a, b), or None where the form gives nothing.
-
-    Writing d = gcd(a, b) and b0 = b/d, the addition arity is b0 + 1 and the
-    multiplication arity is one more than the order of a modulo b0; the order
-    exists only when gcd(a, b0) = 1.  The limiting cases a = 1 and a = b - 1
-    reduce to (b+1, 2) and (b+1, 3).
-    """
-    _check_residue(a, b)
-    if a == 1:
-        return b + 1, 2
-    if a == b - 1 and b >= 3:
-        return b + 1, 3
-    d = gcd(a, b) if a else b
-    b0 = b // d
+    b0 = b // gcd(a, b)
     if gcd(a, b0) != 1:
-        return None
-    m = b0 + 1
-    p = 1
-    for j in range(1, b0 + 1):
-        p = (p * a) % b0
-        if p == 1 % b0:
-            return m, j + 1
-    return None
+        raise ForbiddenPairError(a, b)
+    return b0 + 1, multiplicative_order(a, b0) + 1
 
 
 class _RingFields(NamedTuple):
@@ -154,20 +136,12 @@ def make_descriptor(a: int, b: int) -> RingDescriptor:
 
 def allowed_residues(b: int) -> list[int]:
     """Residues 1..b-1 that head a polyadic ring (forbidden ones skipped)."""
-    out = []
-    for a in range(1, b):
-        try:
-            derive_arities(a, b)
-        except ForbiddenPairError:
-            continue
-        out.append(a)
-    return out
+    return [a for a in range(1, b) if gcd(a, b // gcd(a, b)) == 1]
 
 
 def forbidden_residues(b: int) -> list[int]:
     """Residues 1..b-1 that head no polyadic ring."""
-    allowed = set(allowed_residues(b))
-    return [a for a in range(1, b) if a not in allowed]
+    return [a for a in range(1, b) if gcd(a, b // gcd(a, b)) != 1]
 
 
 class PolyInt(NamedTuple):

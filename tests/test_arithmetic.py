@@ -21,8 +21,8 @@ from polyadic.arithmetic import (
     prime_scan,
     primes_gap,
 )
-from polyadic.arithmetic import _is_binary_prime, _prime_factors, _strong_lucas
 from polyadic.errors import NotLimitingError, NotUnitalError
+from polyadic.factor import _is_binary_prime, _prime_factors, _strong_lucas
 from polyadic.oracle import oracle_is_prime
 from polyadic.ring import make_descriptor, mu, nu
 from polyadic.tables import grid_pairs

@@ -58,6 +58,11 @@ class TestExamples:
             main(argv)
         assert exc.value.code == 4
 
+    def test_removed_lmax_exits_4(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["euler", "--a", "1", "--b", "29", "--kmax", "10", "--lmax", "3"])
+        assert exc.value.code == 4
+
     def test_negative_kmax_exits_4(self, capsys):
         code, out, err = run_main(
             capsys, "primes", "--a", "43", "--b", "44", "--kmax", "-3")

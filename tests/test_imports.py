@@ -48,6 +48,10 @@ def test_group_command_loads_neither_arithmetic_nor_reference():
     assert not loaded & {"arithmetic", "reference", "oracle"}
 
 
+def test_ring_loads_only_errors_and_factor():
+    assert loaded_after("import polyadic.ring") == {"ring", "errors", "factor"}
+
+
 def test_arithmetic_loads_no_table_code():
     loaded = loaded_after("import polyadic.arithmetic")
     assert "arithmetic" in loaded

@@ -1,8 +1,12 @@
+import random
+from math import gcd
+
 import pytest
 
 from conftest import scan_rings
-from polyadic.arithmetic import _abs_divisors, _is_binary_prime, _prime_factors
+from polyadic.arithmetic import _abs_divisors
 from polyadic.errors import ForbiddenPairError
+from polyadic.factor import _is_binary_prime, _prime_factors
 from polyadic.finite import find_units, find_zero, finite_ring, is_field, structure_report
 from polyadic.groups import cyclic_subgroup, decompose, primitive_elements, reflections
 from polyadic.oracle import (
@@ -36,7 +40,7 @@ class TestOracleArity:
             oracle_arity(2, 4)
 
     def test_agrees_with_main_path_everywhere(self):
-        for b in range(1, 13):
+        for b in range(1, 151):
             for a in range(0, b):
                 try:
                     main = derive_arities(a, b)
@@ -47,6 +51,33 @@ class TestOracleArity:
                 except ForbiddenPairError:
                     ref = None
                 assert main == ref, (a, b)
+
+
+    def test_large_moduli_satisfy_the_defining_congruences(self):
+        # The k >= 1 with a^(1+k) = a (mod b) are closed under sums and
+        # differences, hence the multiples of the least one; so n - 1 is
+        # that least k when no (n-1)/r with r a prime of n - 1 qualifies.
+        # The same holds for m - 1 and (m-1)*a = 0 (mod b).
+        def primes_of(w):
+            return [p for p in oracle_divisors(w) if oracle_is_prime(p)]
+
+        rng = random.Random(20)
+        moduli = [10**9 + 7, 10000019] + [rng.randrange(10**6, 10**9) for _ in range(6)]
+        checked = 0
+        for b in moduli:
+            for a in (2, 3, b - 2, rng.randrange(b), rng.randrange(b)):
+                try:
+                    m, n = derive_arities(a, b)
+                except ForbiddenPairError:
+                    assert gcd(a, b) != 1, (a, b)  # a unit always has an order
+                    continue
+                assert pow(a, n, b) == a and (m - 1) * a % b == 0, (a, b)
+                for r in primes_of(n - 1):
+                    assert pow(a, 1 + (n - 1) // r, b) != a, (a, b, r)
+                for r in primes_of(m - 1):
+                    assert (m - 1) // r * a % b != 0, (a, b, r)
+                checked += 1
+        assert checked >= 30
 
 
 class TestOracleKmult:

@@ -24,7 +24,6 @@ from polyadic.ring import (
     multiplicative_power,
     nu,
     nu_long,
-    psi_closed_forms,
 )
 
 # Forbidden residues up to modulus 20.  The published list omits a=10 at
@@ -89,24 +88,13 @@ class TestArities:
 class TestClosedForms:
     def test_limiting_families(self):
         for b in range(2, 21):
-            assert psi_closed_forms(1, b) == (b + 1, 2)
+            assert derive_arities(1, b) == (b + 1, 2)
         for b in range(3, 21):
-            assert psi_closed_forms(b - 1, b) == (b + 1, 3)
+            assert derive_arities(b - 1, b) == (b + 1, 3)
 
     def test_divisor_case(self):
-        assert psi_closed_forms(2, 6) == (4, 3)
-        assert psi_closed_forms(3, 12) == (5, 3)
-
-    def test_matches_direct_search_everywhere(self):
-        for b in range(1, 31):
-            for a in range(0, b):
-                closed = psi_closed_forms(a, b)
-                try:
-                    direct = derive_arities(a, b)
-                except ForbiddenPairError:
-                    direct = None
-                if closed is not None:
-                    assert closed == direct, (a, b)
+        assert derive_arities(2, 6) == (4, 3)
+        assert derive_arities(3, 12) == (5, 3)
 
 
 class TestOperations:
