@@ -40,6 +40,7 @@ from .groups import decompose
 from .ring import make_descriptor
 from .tables import (
     appendix_to_md,
+    classify_grid,
     generate_appendix,
     grid_pairs,
     render_tables,
@@ -254,7 +255,7 @@ def _cmd_group(args) -> str:
 def _cmd_table(args) -> str:
     if args.out:
         return "".join(f"{path}\n" for path in write_tables(args.out))
-    texts = render_tables()
+    texts = render_tables(classify_grid())
     sep = "\n" if args.format == "md" else ""
     return sep.join(texts[f"{t}.{args.format}"] for t in ("T0", "T1", "T2"))
 
@@ -262,7 +263,7 @@ def _cmd_table(args) -> str:
 def _cmd_appendix(args) -> str:
     listing = generate_appendix(args.a, args.b, args.q)
     if args.format == "json":
-        return json.dumps(listing, sort_keys=True, default=list) + "\n"
+        return json.dumps(listing, sort_keys=True) + "\n"
     return appendix_to_md(listing)
 
 

@@ -1,14 +1,13 @@
 """Classification tables and the exotic-field listings.
 
 Everything here is regenerated from the finite-ring scans; nothing is
-hand-entered.  Each ring is classified by one `finite.structure_report`
-call, serially in (b, a, q) order.  `classify_grid` keys the reports of a
-grid by (a, b, q); the table generators, `render_tables` and the
-deviation scanner read their cells from such a mapping when given one
-and classify their own grid otherwise.  `write_tables` classifies each
-ring of the T2 grid (b <= 10, q = 2..10) once and builds T0, T1, T2 and
-deviations.md from those reports: T0 and T1 cover the b <= 6 part of that
-grid.  Only the five appendix listings classify their field again.
+hand-entered.  `classify_grid` classifies each ring of the T2 grid
+(b <= 10, q = 2..10) once, by one `finite.structure_report` call,
+serially in (b, a, q) order.  That mapping is the one input of the table
+layer: the table generators, `render_tables` and the deviation scanner
+all read their cells from it, and T0 and T1 cover its b <= 6 part.
+`write_tables` builds T0, T1, T2 and deviations.md from one such grid;
+only the five appendix listings classify their field again.
 Renderers emit JSON (sorted keys, newline-terminated), CSV and Markdown;
 `render_tables` maps each T*.{json,csv,md} file name to its text, for
 both `write_tables` and the `table` command.  Markdown encodes typography
@@ -35,7 +34,8 @@ import csv
 import io
 import json
 import os
-from typing import Mapping, NamedTuple, Optional
+from itertools import groupby
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .errors import UnknownFieldIdError
 from .finite import StructureReport, finite_ring, mult_querelements, structure_report
@@ -44,18 +44,28 @@ from .ring import allowed_residues
 
 APPENDIX_FIELDS = ((5, 6, 6), (5, 6, 4), (3, 8, 2), (7, 8, 2), (2, 3, 5))
 
+T0_T1_B_MAX = 6  # T0 and T1 print the rings with b <= 6 of the T2 grid
+
 Reports = Mapping[tuple[int, int, int], StructureReport]
 
 
-def grid_pairs(b_max: int) -> list[tuple[int, int]]:
-    """Allowed (a, b) pairs in (b, a) order, the row order of every table."""
-    return [(a, b) for b in range(2, b_max + 1) for a in allowed_residues(b)]
+def grid_pairs(b_max: int) -> Iterator[tuple[int, int]]:
+    """Allowed (a, b) pairs in (b, a) order, the row order of every table.
+
+    The pairs are yielded as they are needed, so a scan of any bound
+    starts at once and holds one modulus's residues at a time.
+    """
+    return ((a, b) for b in range(2, b_max + 1) for a in allowed_residues(b))
 
 
-def classify_grid(b_max: int = 10, q_max: int = 10) -> Reports:
-    """The structure report of each ring with b <= b_max and q = 2..q_max, by (a, b, q)."""
+def classify_grid() -> Reports:
+    """The structure report of each ring of the T2 grid, b <= 10 and q = 2..10.
+
+    Keyed by (a, b, q) and inserted in (b, a, q) order, the row order of
+    every table, so the generators read their cells off `values()` in turn.
+    """
     return {(a, b, q): structure_report(finite_ring(a, b, q))
-            for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)}
+            for a, b in grid_pairs(10) for q in range(2, 11)}
 
 
 def _unit_and_zero(report: StructureReport) -> bool:
@@ -102,13 +112,9 @@ def _t2_cell(report: StructureReport) -> T2Cell:
     )
 
 
-def generate_t2(b_max: int = 10, q_max: int = 10,
-                reports: Optional[Reports] = None) -> list[T2Cell]:
-    """Idempotence-order cells; `reports` (see `classify_grid`) must cover the grid."""
-    if reports is None:
-        reports = classify_grid(b_max, q_max)
-    return [_t2_cell(reports[a, b, q])
-            for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)]
+def generate_t2(reports: Reports) -> list[T2Cell]:
+    """Idempotence-order cells of every ring of the grid (see `classify_grid`)."""
+    return [_t2_cell(report) for report in reports.values()]
 
 
 # ---------------------------------------------------------------- T0
@@ -123,19 +129,11 @@ class T0Cell(NamedTuple):
     is_field: bool
 
 
-def generate_t0(b_max: int = 6, q_max: int = 10,
-                reports: Optional[Reports] = None) -> list[T0Cell]:
-    """Rings with both unit(s) and zero, with their polyadic characteristic."""
-    if reports is None:
-        reports = classify_grid(b_max, q_max)
-    out = []
-    for a, b in grid_pairs(b_max):
-        for q in range(2, q_max + 1):
-            report = reports[a, b, q]
-            if _unit_and_zero(report):
-                d = report.ring.ring
-                out.append(T0Cell(a, b, d.m, d.n, q, report.chi_p, report.is_field))
-    return out
+def generate_t0(reports: Reports) -> list[T0Cell]:
+    """Rings with b <= 6 and both unit(s) and zero, with their polyadic characteristic."""
+    return [T0Cell(a, b, r.ring.ring.m, r.ring.ring.n, q, r.chi_p, r.is_field)
+            for (a, b, q), r in reports.items()
+            if b <= T0_T1_B_MAX and _unit_and_zero(r)]
 
 
 # ---------------------------------------------------------------- T1
@@ -157,13 +155,10 @@ class T1Orders(NamedTuple):
     orders: tuple[tuple[int, bool], ...]  # field orders 5..10, bold = unit+zero
 
 
-def generate_t1(b_max: int = 6, reports: Optional[Reports] = None
-                ) -> tuple[list[T1Cell], list[T1Orders]]:
-    """Element lists for q = 2..4 and the field orders 5..10 of each (a, b)."""
-    if reports is None:
-        reports = classify_grid(b_max, 10)
-    cells = []
-    for a, b in grid_pairs(b_max):
+def generate_t1(reports: Reports) -> tuple[list[T1Cell], list[T1Orders]]:
+    """Element lists for q = 2..4 and the field orders 5..10 of each (a, b) with b <= 6."""
+    cells, orders = [], []
+    for a, b in grid_pairs(T0_T1_B_MAX):
         for q in (2, 3, 4):
             report = reports[a, b, q]
             fr = report.ring
@@ -174,14 +169,9 @@ def generate_t1(b_max: int = 6, reports: Optional[Reports] = None
             d = fr.ring
             cells.append(T1Cell(a, b, d.m, d.n, q, tagged, report.is_field,
                                 _unit_and_zero(report)))
-    orders = []
-    for a, b in grid_pairs(b_max):
-        line = []
-        for q in range(5, 11):
-            report = reports[a, b, q]
-            if report.is_field:
-                line.append((q, _unit_and_zero(report)))
-        orders.append(T1Orders(a, b, tuple(line)))
+        orders.append(T1Orders(a, b, tuple(
+            (q, _unit_and_zero(reports[a, b, q]))
+            for q in range(5, 11) if reports[a, b, q].is_field)))
     return cells, orders
 
 
@@ -236,21 +226,29 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def t2_to_json(cells: list[T2Cell]) -> str:
+def _csv(header, rows) -> str:
+    # csv writes None as an empty field and a bool as True/False.
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _rows(cells) -> Iterator[list]:
+    """Cells grouped into table rows by (b, a); the generators emit (b, a, q) order."""
+    return (list(row) for _, row in groupby(cells, key=lambda c: (c.b, c.a)))
+
+
+def t2_to_json(cells: list[T2Cell] | list[T0Cell]) -> str:
     return _dump_json([cell._asdict() for cell in cells])
 
 
+t0_to_json = t2_to_json  # one JSON object per cell, for T0 as for T2
+
+
 def t2_to_csv(cells: list[T2Cell]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["a", "b", "m", "n", "q", "is_field", "lambda_p", "kappa_e",
-                "zeroless_nonunital", "underline", "unit_and_zero"])
-    for c in cells:
-        w.writerow([c.a, c.b, c.m, c.n, c.q, c.is_field,
-                    "" if c.lambda_p is None else c.lambda_p,
-                    "" if c.kappa_e is None else c.kappa_e,
-                    c.zeroless_nonunital, c.underline, c.unit_and_zero])
-    return buf.getvalue()
+    return _csv(T2Cell._fields, cells)
 
 
 def _t2_cell_text(c: T2Cell) -> str:
@@ -276,29 +274,15 @@ def t2_to_md(cells: list[T2Cell]) -> str:
         "| b | a | (m,n) | " + " | ".join(f"q={q}" for q in range(2, 11)) + " |",
         "|---" * 12 + "|",
     ]
-    rows: dict[tuple[int, int], list[T2Cell]] = {}
-    for c in cells:
-        rows.setdefault((c.b, c.a), []).append(c)
-    for (b, a), row in sorted(rows.items()):
-        row = sorted(row, key=lambda c: c.q)
-        arity = f"({row[0].m},{row[0].n})"
-        lines.append(
-            f"| {b} | {a} | {arity} | " + " | ".join(_t2_cell_text(c) for c in row) + " |"
-        )
+    for row in _rows(cells):
+        first = row[0]
+        lines.append(f"| {first.b} | {first.a} | ({first.m},{first.n}) | "
+                     + " | ".join(_t2_cell_text(c) for c in row) + " |")
     return "\n".join(lines) + "\n"
 
 
-def t0_to_json(cells: list[T0Cell]) -> str:
-    return _dump_json([cell._asdict() for cell in cells])
-
-
 def t0_to_csv(cells: list[T0Cell]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["a", "b", "m", "n", "q", "chi_p", "is_field"])
-    for c in cells:
-        w.writerow([c.a, c.b, c.m, c.n, c.q, c.chi_p, c.is_field])
-    return buf.getvalue()
+    return _csv(T0Cell._fields, cells)
 
 
 def t0_to_md(cells: list[T0Cell]) -> str:
@@ -310,15 +294,12 @@ def t0_to_md(cells: list[T0Cell]) -> str:
         "| b | a | (m,n) | chi_p by order |",
         "|---|---|---|---|",
     ]
-    rows: dict[tuple[int, int], list[T0Cell]] = {}
-    for c in cells:
-        rows.setdefault((c.b, c.a), []).append(c)
-    for (b, a), row in sorted(rows.items()):
-        row = sorted(row, key=lambda c: c.q)
+    for row in _rows(cells):
+        first = row[0]
         entries = ", ".join(
             f"q={c.q}: {c.chi_p}" + ("" if c.is_field else " (nf)") for c in row
         )
-        lines.append(f"| {b} | {a} | ({row[0].m},{row[0].n}) | {entries} |")
+        lines.append(f"| {first.b} | {first.a} | ({first.m},{first.n}) | {entries} |")
     return "\n".join(lines) + "\n"
 
 
@@ -326,31 +307,20 @@ def _t1_elements_text(cell: T1Cell) -> str:
     return ",".join(f"{v}_{t}" if t else str(v) for v, t in cell.elements)
 
 
+def _t1_orders_text(line: T1Orders) -> str:
+    return ",".join(f"*{q}*" if bold else str(q) for q, bold in line.orders)
+
+
 def t1_to_json(cells: list[T1Cell], orders: list[T1Orders]) -> str:
-    payload = {
-        "cells": [
-            {**c._asdict(), "elements": [list(e) for e in c.elements]} for c in cells
-        ],
-        "orders": [
-            {"a": o.a, "b": o.b, "orders": [list(e) for e in o.orders]} for o in orders
-        ],
-    }
-    return _dump_json(payload)
+    return _dump_json({"cells": [c._asdict() for c in cells],
+                       "orders": [o._asdict() for o in orders]})
 
 
 def t1_to_csv(cells: list[T1Cell], orders: list[T1Orders]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["a", "b", "m", "n", "q", "elements", "is_field", "unit_and_zero"])
-    for c in cells:
-        w.writerow([c.a, c.b, c.m, c.n, c.q, _t1_elements_text(c),
-                    c.is_field, c.unit_and_zero])
-    w.writerow([])
-    w.writerow(["a", "b", "field_orders_5_to_10"])
-    for o in orders:
-        text = ",".join(f"*{q}*" if bold else str(q) for q, bold in o.orders)
-        w.writerow([o.a, o.b, text])
-    return buf.getvalue()
+    return (_csv(T1Cell._fields, (c._replace(elements=_t1_elements_text(c)) for c in cells))
+            + "\n"
+            + _csv(("a", "b", "field_orders_5_to_10"),
+                   ((o.a, o.b, _t1_orders_text(o)) for o in orders)))
 
 
 def t1_to_md(cells: list[T1Cell], orders: list[T1Orders]) -> str:
@@ -363,25 +333,18 @@ def t1_to_md(cells: list[T1Cell], orders: list[T1Orders]) -> str:
         "| b | a | (m,n) | q=2 | q=3 | q=4 | field orders 5..10 |",
         "|---|---|---|---|---|---|---|",
     ]
-    by_ab: dict[tuple[int, int], dict] = {}
-    for c in cells:
-        by_ab.setdefault((c.b, c.a), {})[c.q] = c
-    order_map = {(o.b, o.a): o for o in orders}
-    for (b, a), row in sorted(by_ab.items()):
+    for row, line in zip(_rows(cells), orders):
         texts = []
-        for q in (2, 3, 4):
-            c = row[q]
+        for c in row:
             text = _t1_elements_text(c)
             if c.unit_and_zero and c.is_field:
                 text += " [z+e]"
             elif c.is_field:
                 text += " [field]"
             texts.append(text)
-        o = order_map[(b, a)]
-        line = ",".join(f"*{q}*" if bold else str(q) for q, bold in o.orders)
-        lines.append(
-            f"| {b} | {a} | ({row[2].m},{row[2].n}) | " + " | ".join(texts) + f" | {line} |"
-        )
+        first = row[0]
+        lines.append(f"| {first.b} | {first.a} | ({first.m},{first.n}) | " + " | ".join(texts)
+                     + f" | {_t1_orders_text(line)} |")
     return "\n".join(lines) + "\n"
 
 
@@ -419,19 +382,16 @@ def appendix_to_md(listing: dict) -> str:
 
 # ---------------------------------------------------------------- deviations
 
-def table_deviations(reports: Optional[Reports] = None
-                     ) -> list[tuple[str, tuple, str, str, str]]:
+def table_deviations(reports: Reports) -> list[tuple[str, tuple, str, str, str]]:
     """Every cell where recomputation differs from the published reference.
 
     Returns (table, location, printed, computed, note); the note is the
     adjudication from reference.KNOWN_DEVIATIONS or a loud marker when a
-    difference has not been adjudicated yet.  `reports` must cover the
-    T2 grid; without it each ring is classified once here.
+    difference has not been adjudicated yet.  `reports` is the grid of
+    `classify_grid`.
     """
     from . import reference
 
-    if reports is None:
-        reports = classify_grid()
     diffs = []
 
     def note_for(table, loc):
@@ -439,7 +399,7 @@ def table_deviations(reports: Optional[Reports] = None
             (table, loc), "UNEXPECTED: not adjudicated, investigate before release"
         )
 
-    t2 = {(c.a, c.b, c.q): c for c in generate_t2(reports=reports)}
+    t2 = {(c.a, c.b, c.q): c for c in generate_t2(reports)}
     for (a, b), (_, cells) in sorted(reference.REFERENCE_T2.items()):
         for q, printed in sorted(cells.items()):
             got = t2[(a, b, q)].flags
@@ -447,7 +407,7 @@ def table_deviations(reports: Optional[Reports] = None
                 diffs.append(("T2", (a, b, q), str(printed), str(got),
                               note_for("T2", (a, b, q))))
 
-    t0 = {(c.a, c.b, c.q): c for c in generate_t0(reports=reports)}
+    t0 = {(c.a, c.b, c.q): c for c in generate_t0(reports)}
     seen = set()
     for (a, b), entries in sorted(reference.REFERENCE_T0.items()):
         for (q, chi, is_field_flag) in entries:
@@ -458,12 +418,12 @@ def table_deviations(reports: Optional[Reports] = None
                 diffs.append(("T0", (a, b, q), str((chi, is_field_flag)), comp,
                               note_for("T0", (a, b, q))))
     for key in sorted(t0):
-        if key not in seen and key[1] <= 6:
+        if key not in seen:
             c = t0[key]
             diffs.append(("T0", key, "entry absent", str((c.chi_p, c.is_field)),
                           note_for("T0", key)))
 
-    cells1, orders1 = generate_t1(reports=reports)
+    cells1, orders1 = generate_t1(reports)
     ref1 = reference.REFERENCE_T1
     comp_cells = {(c.a, c.b, c.q): c for c in cells1}
     comp_orders = {(o.a, o.b): o for o in orders1}
@@ -483,7 +443,7 @@ def table_deviations(reports: Optional[Reports] = None
     return diffs
 
 
-def deviations_report(reports: Optional[Reports] = None) -> str:
+def deviations_report(reports: Reports) -> str:
     from . import reference
 
     lines = [
@@ -505,17 +465,14 @@ def deviations_report(reports: Optional[Reports] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_tables(reports: Optional[Reports] = None) -> dict[str, str]:
+def render_tables(reports: Reports) -> dict[str, str]:
     """Text of T2, T0 and T1 as JSON, CSV and Markdown, keyed by file name.
 
-    `reports` must cover the T2 grid; without it each ring is classified
-    once here.
+    `reports` is the grid of `classify_grid`.
     """
-    if reports is None:
-        reports = classify_grid()
-    t2 = generate_t2(reports=reports)
-    t0 = generate_t0(reports=reports)
-    cells1, orders1 = generate_t1(reports=reports)
+    t2 = generate_t2(reports)
+    t0 = generate_t0(reports)
+    cells1, orders1 = generate_t1(reports)
     return {
         "T2.json": t2_to_json(t2),
         "T2.csv": t2_to_csv(t2),

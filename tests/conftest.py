@@ -30,6 +30,14 @@ def scan_rings(b_max: int, q_max: int):
 
 
 @pytest.fixture(scope="session")
+def grid_reports():
+    """The classified T2 grid that every table generator reads."""
+    from polyadic.tables import classify_grid
+
+    return classify_grid()
+
+
+@pytest.fixture(scope="session")
 def full_grid():
     return scan_rings(10, 10)
 

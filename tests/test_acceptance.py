@@ -87,9 +87,9 @@ def verify_t2_cell_directly(a, b, q):
     }
 
 
-def test_criterion_1_t2_reproduction():
+def test_criterion_1_t2_reproduction(grid_reports):
     with criterion(1, "idempotence-order table reproduction"):
-        computed = {(c.a, c.b, c.q): c for c in generate_t2()}
+        computed = {(c.a, c.b, c.q): c for c in generate_t2(grid_reports)}
         adjudicated = {loc for t, loc in reference.KNOWN_DEVIATIONS if t == "T2"}
         checked = 0
         for (a, b), (arities, cells) in reference.REFERENCE_T2.items():
@@ -108,7 +108,7 @@ def test_criterion_1_t2_reproduction():
                     assert (not direct["zero"]) == (
                         cell.zeroless_nonunital or direct["kappa"] > 0)
         assert checked >= 340
-        report = deviations_report()
+        report = deviations_report(grid_reports)
         for loc in adjudicated:
             assert f"T2 {loc}" in report
         # every empty cell is a non-field and vice versa, full grid
@@ -118,9 +118,9 @@ def test_criterion_1_t2_reproduction():
 
 # ------------------------------------------------------------------ 2
 
-def test_criterion_2_t0_reproduction():
+def test_criterion_2_t0_reproduction(grid_reports):
     with criterion(2, "characteristic table reproduction"):
-        computed = {(c.a, c.b, c.q): c for c in generate_t0()}
+        computed = {(c.a, c.b, c.q): c for c in generate_t0(grid_reports)}
         adjudicated = {loc for t, loc in reference.KNOWN_DEVIATIONS if t == "T0"}
         checked = 0
         for (a, b), entries in reference.REFERENCE_T0.items():
@@ -138,15 +138,15 @@ def test_criterion_2_t0_reproduction():
                 assert (cell.chi_p, cell.is_field) == (chi, slant_field), (a, b, q)
                 checked += 1
         assert checked >= 60
-        report = deviations_report()
+        report = deviations_report(grid_reports)
         assert "T0 (3, 5, 9)" in report  # the omitted ring is surfaced
 
 
 # ------------------------------------------------------------------ 3
 
-def test_criterion_3_t1_reproduction():
+def test_criterion_3_t1_reproduction(grid_reports):
     with criterion(3, "ring-content table reproduction"):
-        cells, orders = generate_t1()
+        cells, orders = generate_t1(grid_reports)
         cell_map = {(c.a, c.b, c.q): c for c in cells}
         order_map = {(o.a, o.b): o for o in orders}
         adjudicated = {loc for t, loc in reference.KNOWN_DEVIATIONS if t == "T1"}
@@ -221,7 +221,7 @@ def test_criterion_4_appendix_fidelity():
 
 # ------------------------------------------------------------------ 5
 
-def test_criterion_5_prime_scans():
+def test_criterion_5_prime_scans(grid_reports):
     with criterion(5, "prime scans"):
         scan = prime_scan(make_descriptor(43, 44), 2)
         assert sorted_values(scan.primes) == [-45, -1, 43, 87, 131]
@@ -235,7 +235,7 @@ def test_criterion_5_prime_scans():
         assert sorted_values(scan.delta) == [
             -205, -154, -52, 50, 152, 203, 254, 305]
 
-        report = deviations_report()
+        report = deviations_report(grid_reports)
         assert "{-45, 87}" in report or "-45, 87" in report
 
 
@@ -258,7 +258,7 @@ def test_criterion_6_euler_values():
 
 # ------------------------------------------------------------------ 7
 
-def test_criterion_7_division():
+def test_criterion_7_division(grid_reports):
     with criterion(7, "division and remainders"):
         ring = make_descriptor(4, 9)
         assert polyadic_divide(ring.from_value(256), ring.from_value(4)).value == 4
@@ -275,7 +275,7 @@ def test_criterion_7_division():
         assert all(q != -2 for q, _ in got)
         assert (-22, 4310318) in got
         assert -92 * (-22) ** 4 + 5 * 4310318 == 38
-        report = deviations_report()
+        report = deviations_report(grid_reports)
         assert "238" in report and "302" in report
 
 

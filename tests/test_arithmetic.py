@@ -411,7 +411,7 @@ class TestLargeDecompositions:
 
 
 class TestRemainderResidues:
-    @pytest.mark.parametrize("pair", [(0, 1)] + grid_pairs(12) + [(1, 13)])
+    @pytest.mark.parametrize("pair", [(0, 1), *grid_pairs(12), (1, 13)])
     def test_matches_the_plain_search(self, pair):
         # Every allowed ring with b <= 12, the binary limit and w = 13:
         # w = m - 1 runs from 1 to 13.  Radii 0 .. 2w + 1 give partial first

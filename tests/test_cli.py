@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from argparse import Namespace
 
 import pytest
 
-from polyadic.cli import main
+from polyadic.cli import _cmd_scan, main
 
 RUN_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
@@ -214,6 +216,20 @@ class TestPayloads:
         assert list(payload)[:4] == ["a", "b", "m", "n"]
         assert payload["chi_p"] is None
 
+    @pytest.mark.parametrize("field, digest", [
+        ((5, 6, 6), "c4cc878fda63fb7ca5c66a901b319f838578835dc520a2cb38a6b0470f18e60b"),
+        ((5, 6, 4), "f8c3d518c6bc407eda7cc41fd61257891f5ee2111fd3178aad881e057cceda28"),
+        ((3, 8, 2), "33272ccab88cb11af3eddd6a7b4b504fbeddf8fc64fafdbc6b22aad2b86b65e2"),
+        ((7, 8, 2), "7281b652c5b76aa37d0ad3578e80fa3b25fd7882d1542279de43257e3a7ba757"),
+        ((2, 3, 5), "3418e02ee255d3317fa7862bf2d852c770b1ca949565b867c280726e9497102b"),
+    ], ids=["5_6_6", "5_6_4", "3_8_2", "7_8_2", "2_3_5"])
+    def test_appendix_json_bytes_are_pinned(self, capsys, field, digest):
+        a, b, q = map(str, field)
+        code, out, _ = run_main(capsys, "appendix", "--a", a, "--b", b, "--q", q,
+                                "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_group_json(self, capsys):
         code, out, _ = run_main(
             capsys, "group", "--a", "7", "--b", "8", "--q", "8",
@@ -276,6 +292,19 @@ class TestScan:
         assert code == 0 and out == ""
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
             "62d0590a21aefd87681c8251c42362143175ac9063d518de7819dcf24811d80b")
+
+    def test_first_line_comes_before_the_grid_is_built(self, capsys):
+        # The (a, b) pairs are generated as the scan reaches them; a list of
+        # all pairs with b <= 1000 took 36 MB before the first line.
+        tracemalloc.start()
+        try:
+            line = next(iter(_cmd_scan(Namespace(bmax=1000, qmax=2))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        code, out, _ = run_main(capsys, "scan", "--bmax", "2", "--qmax", "2")
+        assert code == 0 and line == out.splitlines(keepends=True)[0]
 
     def test_out_flag_writes_the_file(self, capsys, tmp_path):
         target = tmp_path / "scan.jsonl"

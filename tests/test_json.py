@@ -86,7 +86,7 @@ def test_every_ring_up_to_12_matches_the_arbiter(capsys):
     # scan covers those with b >= 2 and q >= 2, in (b, a, q) order.
     assert main(["scan", "--bmax", "12", "--qmax", "12"]) == 0
     scan_lines = iter(capsys.readouterr().out.splitlines(keepends=True))
-    rings = [finite_ring(a, b, q) for a, b in [(0, 1)] + grid_pairs(12)
+    rings = [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(12)]
              for q in range(1, 13)]
     scanned = 0
     for fr in rings:

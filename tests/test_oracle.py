@@ -138,7 +138,7 @@ class TestOraclePowers:
         # Every ring with b, q <= 12, the binary limit and q = 1 included.
         # The zero comes from the main path (oracle_zero enumerates q^n
         # tuples; TestOracleZeroAndUnits checks it up to b, q <= 8).
-        rings = [finite_ring(a, b, q) for a, b in [(0, 1)] + grid_pairs(12)
+        rings = [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(12)]
                  for q in range(1, 13)]
         fields = 0
         for fr in rings:

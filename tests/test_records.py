@@ -14,32 +14,36 @@ from polyadic.ring import RingDescriptor, make_descriptor
 from polyadic.tables import generate_t0, generate_t1, generate_t2
 
 
-def build_records() -> dict:
+RECORD_TYPES = ("CompositionSet", "FiniteRing", "GroupDecomposition", "PolyInt", "PrimeScan",
+                "RingDescriptor", "StructureReport", "T0Cell", "T1Cell", "T1Orders", "T2Cell")
+
+
+@pytest.fixture(scope="module")
+def records(grid_reports) -> dict:
     d = make_descriptor(3, 4)
     fr = finite_ring(2, 3, 5)  # a field with unit and zero
     report = structure_report(fr)
-    t1_cells, t1_orders = generate_t1(b_max=3)
-    return {
+    t1_cells, t1_orders = generate_t1(grid_reports)
+    built = {
         "RingDescriptor": d,
         "PolyInt": d.element(2),
         "FiniteRing": fr,
         "StructureReport": report,
         "GroupDecomposition": decompose(report),
-        "T0Cell": generate_t0(b_max=3, q_max=5)[0],
+        "T0Cell": generate_t0(grid_reports)[0],
         "T1Cell": t1_cells[0],
         "T1Orders": t1_orders[0],
-        "T2Cell": generate_t2(b_max=3, q_max=4)[0],
+        "T2Cell": generate_t2(grid_reports)[0],
         "CompositionSet": composition_set(d.from_value(-21)),
         "PrimeScan": prime_scan(d, 10),
     }
+    assert sorted(built) == list(RECORD_TYPES)
+    return built
 
 
-RECORDS = build_records()
-
-
-@pytest.fixture(params=sorted(RECORDS))
-def record(request):
-    rec = RECORDS[request.param]
+@pytest.fixture(params=RECORD_TYPES)
+def record(request, records):
+    rec = records[request.param]
     assert type(rec).__name__ == request.param
     return rec
 

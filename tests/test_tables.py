@@ -5,6 +5,7 @@ import pytest
 
 import polyadic.finite
 from polyadic import reference
+from polyadic.cli import main
 from polyadic.errors import UnknownFieldIdError
 from polyadic.tables import (
     APPENDIX_FIELDS,
@@ -22,18 +23,18 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "tables")
 
 
 @pytest.fixture(scope="module")
-def t2_cells():
-    return {(c.a, c.b, c.q): c for c in generate_t2()}
+def t2_cells(grid_reports):
+    return {(c.a, c.b, c.q): c for c in generate_t2(grid_reports)}
 
 
 @pytest.fixture(scope="module")
-def t0_cells():
-    return {(c.a, c.b, c.q): c for c in generate_t0()}
+def t0_cells(grid_reports):
+    return {(c.a, c.b, c.q): c for c in generate_t0(grid_reports)}
 
 
 @pytest.fixture(scope="module")
-def t1_data():
-    cells, orders = generate_t1()
+def t1_data(grid_reports):
+    cells, orders = generate_t1(grid_reports)
     return {(c.a, c.b, c.q): c for c in cells}, {(o.a, o.b): o for o in orders}
 
 
@@ -150,14 +151,14 @@ def frozenset_count(ops):
 
 
 class TestDeviationScanner:
-    def test_every_difference_is_adjudicated(self):
-        devs = table_deviations()
+    def test_every_difference_is_adjudicated(self, grid_reports):
+        devs = table_deviations(grid_reports)
         assert {(table, loc) for table, loc, *_ in devs} == set(reference.KNOWN_DEVIATIONS)
         for *_, note in devs:
             assert not note.startswith("UNEXPECTED")
 
-    def test_report_covers_the_worked_examples(self):
-        text = deviations_report()
+    def test_report_covers_the_worked_examples(self, grid_reports):
+        text = deviations_report(grid_reports)
         assert "-45, 87" in text or "{-45, 87}" in text
         assert "238" in text
         assert "32768" in text
@@ -174,28 +175,45 @@ def assert_golden(paths):
         assert fresh == golden, name
 
 
+def t2_grid():
+    grid = [(a, b, q) for a, b in grid_pairs(10) for q in range(2, 11)]
+    assert len(grid) == 351
+    return grid
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """The (a, b, q) of every ring classified while the test runs, in call order."""
+    calls = []
+    classify = polyadic.finite.structure_report
+
+    def counting_classify(fr):
+        calls.append((fr.ring.a, fr.ring.b, fr.q))
+        return classify(fr)
+
+    # Every module that binds it, so a by-name import is counted too.
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("polyadic")
+                and getattr(module, "structure_report", None) is classify):
+            monkeypatch.setattr(module, "structure_report", counting_classify)
+    return calls
+
+
 class TestGoldenFiles:
     def test_regeneration_is_byte_identical(self, tmp_path):
         assert_golden(write_tables(str(tmp_path)))
 
-    def test_each_grid_ring_is_classified_once(self, tmp_path, monkeypatch):
-        calls = []
-        classify = polyadic.finite.structure_report
-
-        def counting_classify(fr):
-            calls.append((fr.ring.a, fr.ring.b, fr.q))
-            return classify(fr)
-
-        # Every module that binds it, so a by-name import is counted too.
-        for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("polyadic")
-                    and getattr(module, "structure_report", None) is classify):
-                monkeypatch.setattr(module, "structure_report", counting_classify)
+    def test_each_grid_ring_is_classified_once(self, tmp_path, classify_calls):
         assert_golden(write_tables(str(tmp_path)))
-        grid = [(a, b, q) for a, b in grid_pairs(10) for q in range(2, 11)]
-        assert len(grid) == 351
         # The T2 grid once, in (b, a, q) order, then each appendix field once more.
-        assert calls == grid + list(APPENDIX_FIELDS)
+        assert classify_calls == t2_grid() + list(APPENDIX_FIELDS)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    def test_table_stdout_classifies_each_grid_ring_once(self, capsys, classify_calls, fmt):
+        assert main(["table", "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        # The T2 grid once, in (b, a, q) order, and no appendix field.
+        assert classify_calls == t2_grid()
 
     def test_repeated_writes_give_the_same_bytes(self, tmp_path):
         first = write_tables(str(tmp_path / "one"))
