@@ -4,14 +4,16 @@ Irreducibility, composition sets, polyadic primes and their gaps, prime
 counting, exact division (with and without remainder), coprimality, and
 the polyadic totient scan.  Everything works on exact integers.  Every
 factor search goes through one factorisation primitive,
-`factor._prime_factors`; divisors are built from the prime powers, and a
-decomposition factors its value once.  `divide_with_remainder` yields its pairs in
-increasing quotient index from a generator, so its memory does not grow
-with the search radius.
+`factor._prime_factors`: a value is factored once into the sorted list of
+its class factors, and one multiset search over that list answers both
+`is_composite` and `decompositions`.  `divide_with_remainder` yields its
+pairs in increasing quotient index from a generator, so its memory does
+not grow with the search radius.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -67,45 +69,41 @@ def _abs_divisors(w: int, primes: Iterable[int]) -> list[int]:
     return divisors[1:]
 
 
-def _class_factors(ring: RingDescriptor, w: int, primes: Iterable[int]) -> list[int]:
-    """Signed divisors f of w with |f| >= 2 and f in the class.
+def _class_factors(ring: RingDescriptor, v: int) -> list[int]:
+    """Class members f with |f| >= 2 dividing v != 0, sorted by (|f|, f).
 
-    Unit representatives (|f| = 1) never qualify, which is exactly the
-    exclusion the composite-number definition needs.
+    Each target of the multiset search is v divided by the factors taken
+    so far, so it and its divisors divide v: its class factors are the
+    members of this list that divide it, and nothing below the top is
+    factored or sorted again.  Units (|f| = 1) never qualify, as the
+    composite definition needs.  The sort by |f| is stable and puts -d
+    before d, so it orders by (|f|, f).
     """
-    out = []
-    for d in _abs_divisors(w, primes):
-        for f in (d, -d):
-            if ring.contains(f):
-                out.append(f)
-    return out
+    return sorted((f for d in _abs_divisors(v, _prime_factors(v)) for f in (-d, d)
+                   if ring.contains(f)), key=abs)
 
 
-def _key(f: int) -> tuple[int, int]:
-    return abs(f), f
+def _multisets(factors: list[int], target: int, slots: int, start: int = 0):
+    """Tuples of `slots` entries of factors[start:], in list order, with product `target`.
 
-
-def _multisets(ring: RingDescriptor, target: int, slots: int, floor: tuple[int, int],
-               primes: tuple[int, ...]):
-    """Non-decreasing factor tuples of given length with exact product `target`.
-
-    `primes` holds the prime factors of the top-level value; every
-    intermediate target divides it, so its divisors come from the same
-    primes and nothing is factored again below the top.
+    `factors` is `_class_factors` of a value that `target` divides.  A
+    tuple's first entry f has |f|^slots <= |target|, so the walk stops at
+    the first f past that bound, at once when |target| < 2^slots since
+    |f| >= 2; the rest starts at f's own index.  The last entry is found
+    by bisection on |f|, not by a scan, as a list can hold thousands.
     """
     if slots == 1:
-        if abs(target) >= 2 and ring.contains(target) and _key(target) >= floor:
+        i = bisect_left(factors, abs(target), start, key=abs)
+        if target in factors[i:i + 2]:
             yield (target,)
         return
-    if abs(target) < 2**slots:
-        return
-    for f in sorted(_class_factors(ring, target, primes), key=_key):
-        if _key(f) < floor:
-            continue
+    for i in range(start, len(factors)):
+        f = factors[i]
         if abs(f) ** slots > abs(target):
             break
-        for rest in _multisets(ring, target // f, slots - 1, _key(f), primes):
-            yield (f,) + rest
+        if target % f == 0:
+            for rest in _multisets(factors, target // f, slots - 1, i):
+                yield (f,) + rest
 
 
 def decompositions(x: PolyInt, depth: int = _DEFAULT_DEPTH) -> list[tuple[PolyInt, ...]]:
@@ -113,28 +111,23 @@ def decompositions(x: PolyInt, depth: int = _DEFAULT_DEPTH) -> list[tuple[PolyIn
 
     Factors are class members with |value| >= 2 (units never appear), so
     the trivial unit-padded expansion is excluded by construction.  x is
-    factored once; the factors are the class members among the signed
-    divisors of x.
+    factored once into its class factors.  No product of 2^slots > |x|
+    factors of size >= 2 equals x, so l stops at the first such length,
+    whatever the depth.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    ring = x.ring
-    v = x.value
-    found = []
+    ring, v = x.ring, x.value
     if v == 0:
         # 0 times anything stays 0; one canonical non-unit witness is enough.
         other = next(ring.a + ring.b * k for k in (1, -1, 2, -2, 3, -3)
                      if abs(ring.a + ring.b * k) >= 2)
-        found.append(tuple([x] + [ring.from_value(other)] * (ring.n - 1)))
-        return found
-    primes = tuple(_prime_factors(v))
-    for l in range(1, depth + 1):
-        slots = l * (ring.n - 1) + 1
-        if 2**slots > abs(v):
-            break
-        for values in _multisets(ring, v, slots, (0, 0), primes):
-            found.append(tuple(ring.from_value(f) for f in values))
-    return found
+        return [(x, *[ring.from_value(other)] * (ring.n - 1))]
+    factors = _class_factors(ring, v)
+    # 2^slots <= |v| holds exactly for slots < bit_length(|v|).
+    top = min(depth, (abs(v).bit_length() - 2) // (ring.n - 1))
+    return [tuple(ring.from_value(f) for f in values) for l in range(1, top + 1)
+            for values in _multisets(factors, v, l * (ring.n - 1) + 1)]
 
 
 def is_composite(x: PolyInt) -> bool:
@@ -143,16 +136,12 @@ def is_composite(x: PolyInt) -> bool:
     Any longer decomposition collapses to a single-multiplication one by
     grouping, so only l = 1 needs checking.
     """
-    ring = x.ring
-    if x.value == 0:
+    v = x.value
+    if v == 0:
         return True
-    slots = ring.n
-    if 2**slots > abs(x.value):
+    if abs(v).bit_length() <= x.ring.n:  # |v| < 2^n
         return False
-    primes = tuple(_prime_factors(x.value))
-    for _ in _multisets(ring, x.value, slots, (0, 0), primes):
-        return True
-    return False
+    return next(_multisets(_class_factors(x.ring, v), v, x.ring.n), None) is not None
 
 
 def is_irreducible(x: PolyInt) -> bool:
@@ -160,16 +149,13 @@ def is_irreducible(x: PolyInt) -> bool:
     return not is_composite(x)
 
 
-def is_polyadic_prime(x: PolyInt, strict: bool = True) -> bool:
+def is_polyadic_prime(x: PolyInt) -> bool:
     """Primality in the sense of the unit-padded expansion being the only one.
 
-    Strict mode demands a ring with a unit and raises NotUnitalError
-    elsewhere; pass strict=False for the bare irreducibility predicate.
-    In the binary limit the representatives 0 and +-1 are excluded to
-    agree with the ordinary prime numbers.
+    Defined only in a ring with a unit (NotUnitalError elsewhere).  In the
+    binary limit the representatives 0 and +-1 are excluded to agree with
+    the ordinary prime numbers.
     """
-    if not strict:
-        return is_irreducible(x)
     ring = x.ring
     if not ring.is_limiting:
         raise NotUnitalError(f"{ring!r} has no unit; strict primality is undefined")
@@ -180,19 +166,13 @@ def is_polyadic_prime(x: PolyInt, strict: bool = True) -> bool:
 
 def composition_set(x: PolyInt, depth: int = _DEFAULT_DEPTH) -> CompositionSet:
     decs = decompositions(x, depth)
-    factors = frozenset(f for dec in decs for f in dec)
-    return CompositionSet(x, factors, tuple(decs))
+    return CompositionSet(x, frozenset(f for dec in decs for f in dec), tuple(decs))
 
 
 def are_coprime(xs: Iterable[PolyInt], depth: int = _DEFAULT_DEPTH) -> bool:
     """True when the composition sets of all the xs share no factor."""
     sets = [composition_set(x, depth).factors for x in xs]
-    if not sets:
-        return True
-    common = set(sets[0])
-    for s in sets[1:]:
-        common &= s
-    return not common
+    return not sets or not frozenset.intersection(*sets)
 
 
 def primes_gap(ring: RingDescriptor) -> tuple[int, int]:

@@ -4,9 +4,10 @@ These deliberately share no code with the main paths: arities come from
 a plain double scan, index multiplication from the literal
 symmetric-polynomial expansion, the zero, the units and the field
 check from exhaustive tuple enumeration, powers by repeated
-multiplication, and divisors and primality from trial division up to
-the square root.  Tests use them as the arbiter wherever the main path
-uses a closed form or a pruned search.
+multiplication, divisors and primality from trial division up to the
+square root, and decompositions from every sorted tuple of divisors.
+Tests use them as the arbiter wherever the main path uses a closed form
+or a pruned search.
 
 The subset field search behind `proper_subfields` lives here too: only
 tests call it, and it enumerates sets of products where the main path
@@ -50,6 +51,29 @@ def oracle_divisors(w: int) -> list[int]:
     w = abs(w)
     low = [d for d in range(1, isqrt(w) + 1) if w % d == 0]
     return low + [w // d for d in reversed(low) if d * d != w]
+
+
+def oracle_decompositions(x, depth: int) -> list[tuple]:
+    """Admissible factorisations of a class member x != 0, by brute force.
+
+    The candidate factors are the signed divisors of x, found by trial
+    division, that lie in the class and have |f| >= 2, sorted by (|f|, f).
+    For l = 1..depth, every sorted tuple of l*(n-1)+1 candidates is tried
+    and kept when its product is x.  A product of s candidates is at least
+    2^s in size, so the lengths with 2^s > |x| are not tried.
+    """
+    ring, v = x.ring, x.value
+    candidates = sorted((f for d in oracle_divisors(v) for f in (d, -d)
+                         if abs(f) >= 2 and (f - ring.a) % ring.b == 0),
+                        key=lambda f: (abs(f), f))
+    found = []
+    for l in range(1, depth + 1):
+        slots = l * (ring.n - 1) + 1
+        if 2**slots <= abs(v):
+            found += [tuple(map(ring.from_value, c))
+                      for c in combinations_with_replacement(candidates, slots)
+                      if _prod(c) == v]
+    return found
 
 
 def oracle_is_prime(w: int) -> bool:

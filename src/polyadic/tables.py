@@ -38,9 +38,10 @@ from itertools import groupby
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .errors import UnknownFieldIdError
-from .finite import StructureReport, finite_ring, mult_querelements, structure_report
+from .finite import (FiniteRing, StructureReport, finite_ring, mult_querelements,
+                     structure_report)
 from .groups import decompose
-from .ring import allowed_residues
+from .ring import allowed_residues, make_descriptor
 
 APPENDIX_FIELDS = ((5, 6, 6), (5, 6, 4), (3, 8, 2), (7, 8, 2), (2, 3, 5))
 
@@ -63,9 +64,11 @@ def classify_grid() -> Reports:
 
     Keyed by (a, b, q) and inserted in (b, a, q) order, the row order of
     every table, so the generators read their cells off `values()` in turn.
+    Each (a, b) gets one descriptor, shared by its nine orders.
     """
-    return {(a, b, q): structure_report(finite_ring(a, b, q))
-            for a, b in grid_pairs(10) for q in range(2, 11)}
+    rings = (make_descriptor(a, b) for a, b in grid_pairs(10))
+    return {(d.a, d.b, q): structure_report(FiniteRing(d, q))
+            for d in rings for q in range(2, 11)}
 
 
 def _unit_and_zero(report: StructureReport) -> bool:

@@ -108,6 +108,15 @@ class TestCompositionSets:
         with pytest.raises(ValueError):
             decompositions(EVEN_RING.from_value(-32), 0)
 
+    def test_depth_bound_cannot_hang(self):
+        # |x| < 2^13, so no admissible length past 9 = 2*(5-1)+1 fits:
+        # the lengths stop there rather than run to the depth.
+        x = EVEN_RING.from_value(-3072)
+        start = time.perf_counter()
+        got = decompositions(x, 10**9)
+        assert time.perf_counter() - start < 1
+        assert got == decompositions(x, 3)
+
     @given(st.permutations([-22, -32, 8, 32768]))
     def test_coprimality_is_permutation_invariant(self, order):
         xs = [EVEN_RING.from_value(v) for v in order]
@@ -118,7 +127,7 @@ class TestPrimes:
     def test_strict_primality_needs_a_unit(self):
         with pytest.raises(NotUnitalError):
             is_polyadic_prime(EVEN_RING.from_value(-32))
-        assert is_polyadic_prime(EVEN_RING.from_value(-32), strict=False) is False
+        assert is_irreducible(EVEN_RING.from_value(-32)) is False
 
     def test_published_primes(self):
         ring = make_descriptor(43, 44)

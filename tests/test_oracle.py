@@ -4,13 +4,14 @@ from math import gcd
 import pytest
 
 from conftest import scan_rings
-from polyadic.arithmetic import _abs_divisors
+from polyadic.arithmetic import _abs_divisors, decompositions, is_irreducible
 from polyadic.errors import ForbiddenPairError
 from polyadic.factor import _is_binary_prime, _prime_factors
 from polyadic.finite import find_units, find_zero, finite_ring, is_field, structure_report
 from polyadic.groups import cyclic_subgroup, decompose, primitive_elements, reflections
 from polyadic.oracle import (
     oracle_arity,
+    oracle_decompositions,
     oracle_divisors,
     oracle_group_axioms,
     oracle_is_field,
@@ -20,7 +21,7 @@ from polyadic.oracle import (
     oracle_units,
     oracle_zero,
 )
-from polyadic.ring import derive_arities
+from polyadic.ring import derive_arities, make_descriptor
 from polyadic.tables import grid_pairs
 
 
@@ -185,3 +186,25 @@ class TestOracleFactorisation:
             assert product == w, w
             assert sorted(_abs_divisors(-w, factors)) == oracle_divisors(w)[1:], w
             assert _is_binary_prime(w) == _is_binary_prime(-w) == oracle_is_prime(w), w
+
+
+class TestOracleDecompositions:
+    def test_factor_search_matches_the_brute_force(self):
+        # Every ring with b <= 12 and the binary limit, 0 < |x| and |k| <= 25,
+        # at depth 3: 775 decompositions of lengths 2 to 7, 407 composites.
+        cases, found, composites = 0, 0, 0
+        for a, b in [(0, 1), *grid_pairs(12)]:
+            ring = make_descriptor(a, b)
+            for x in map(ring.element, range(-25, 26)):
+                if x.value == 0:
+                    continue
+                expected = oracle_decompositions(x, 3)
+                # The oracle tries the lengths and the sorted tuples in the
+                # same order as the search, so the order agrees too.
+                assert decompositions(x, 3) == expected, x
+                composite = any(len(d) == ring.n for d in expected)
+                assert is_irreducible(x) is not composite, x
+                cases += 1
+                found += len(expected)
+                composites += composite
+        assert (cases, found, composites) == (2957, 775, 407)

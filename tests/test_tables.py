@@ -1,9 +1,11 @@
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import polyadic.finite
+import polyadic.ring
 from polyadic import reference
 from polyadic.cli import main
 from polyadic.errors import UnknownFieldIdError
@@ -175,27 +177,44 @@ def assert_golden(paths):
         assert fresh == golden, name
 
 
+def t2_pairs():
+    pairs = list(grid_pairs(10))
+    assert len(pairs) == 39
+    return pairs
+
+
 def t2_grid():
-    grid = [(a, b, q) for a, b in grid_pairs(10) for q in range(2, 11)]
+    grid = [(a, b, q) for a, b in t2_pairs() for q in range(2, 11)]
     assert len(grid) == 351
     return grid
 
 
 @pytest.fixture
 def classify_calls(monkeypatch):
-    """The (a, b, q) of every ring classified while the test runs, in call order."""
-    calls = []
+    """What the test classifies and describes, each in call order.
+
+    `rings` holds the (a, b, q) of every ring classified, `descriptors`
+    the (a, b) of every ring descriptor made.
+    """
+    calls = SimpleNamespace(rings=[], descriptors=[])
     classify = polyadic.finite.structure_report
+    describe = polyadic.ring.make_descriptor
 
     def counting_classify(fr):
-        calls.append((fr.ring.a, fr.ring.b, fr.q))
+        calls.rings.append((fr.ring.a, fr.ring.b, fr.q))
         return classify(fr)
 
-    # Every module that binds it, so a by-name import is counted too.
+    def counting_describe(a, b):
+        calls.descriptors.append((a, b))
+        return describe(a, b)
+
+    # Every module that binds them, so a by-name import is counted too.
     for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("polyadic")
-                and getattr(module, "structure_report", None) is classify):
-            monkeypatch.setattr(module, "structure_report", counting_classify)
+        if getattr(module, "__name__", "").startswith("polyadic"):
+            for name, original, counting in (("structure_report", classify, counting_classify),
+                                             ("make_descriptor", describe, counting_describe)):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -206,14 +225,17 @@ class TestGoldenFiles:
     def test_each_grid_ring_is_classified_once(self, tmp_path, classify_calls):
         assert_golden(write_tables(str(tmp_path)))
         # The T2 grid once, in (b, a, q) order, then each appendix field once more.
-        assert classify_calls == t2_grid() + list(APPENDIX_FIELDS)
+        assert classify_calls.rings == t2_grid() + list(APPENDIX_FIELDS)
+        # One descriptor per (a, b) of the grid, then one per appendix field.
+        assert classify_calls.descriptors == t2_pairs() + [f[:2] for f in APPENDIX_FIELDS]
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
     def test_table_stdout_classifies_each_grid_ring_once(self, capsys, classify_calls, fmt):
         assert main(["table", "--format", fmt]) == 0
         assert capsys.readouterr().out
         # The T2 grid once, in (b, a, q) order, and no appendix field.
-        assert classify_calls == t2_grid()
+        assert classify_calls.rings == t2_grid()
+        assert classify_calls.descriptors == t2_pairs()
 
     def test_repeated_writes_give_the_same_bytes(self, tmp_path):
         first = write_tables(str(tmp_path / "one"))
