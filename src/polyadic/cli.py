@@ -10,8 +10,8 @@ one `finite.structure_report` and, on a field, one `groups.decompose`,
 with one descriptor per (a, b).  `remainder` likewise writes each pair,
 in increasing quotient index, as the search yields it, so its memory does
 not grow with --radius.  Every JSON report and decomposition is
-written by `finite.to_json`.  Each command accepts only the --format
-values that change its output (`_FORMATS`).
+written by `finite.to_json`.  The parser and the dispatch in `main` are
+both read from one table of commands, `_COMMANDS`.
 
 Importing this module loads `ring`, `finite`, `groups` and `tables`;
 `arithmetic` is imported by the four handlers that use it (`primes`,
@@ -28,13 +28,7 @@ import json
 import sys
 from typing import Iterator
 
-from .errors import (
-    ForbiddenPairError,
-    NotAFieldError,
-    NotLimitingError,
-    PolyadicError,
-    UnknownFieldIdError,
-)
+from .errors import ForbiddenPairError, NotAFieldError, NotLimitingError, PolyadicError
 from .finite import FiniteRing, finite_ring, structure_report, to_json
 from .groups import decompose
 from .ring import make_descriptor
@@ -47,15 +41,6 @@ from .tables import (
     write_tables,
 )
 
-# --format choices per command; the last one is the default.  `arity`
-# and `scan` have a single output shape and take no --format.
-_FORMATS = {
-    **dict.fromkeys(("ring", "primes", "euler", "divide", "remainder", "finite",
-                     "group"), ("json", "text")),
-    "appendix": ("json", "md"),
-    "table": ("json", "csv", "md"),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; bad usage is 4 here
@@ -66,45 +51,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="polyadic", description="Exact polyadic ring and field arithmetic")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, q=False, kmax=False, radius=False, values=False):
-        sp.add_argument("--a", type=int, required=True, help="residue 0 <= a <= b-1")
-        sp.add_argument("--b", type=int, required=True, help="modulus b >= 1")
-        if q:
-            sp.add_argument("--q", type=int, required=True, help="finite ring order")
-        if kmax:
-            sp.add_argument("--kmax", type=int, required=True, help="index scan bound")
-        if radius:
-            sp.add_argument("--radius", type=int, default=64,
-                            help="extra quotient-index search radius (default 64)")
-        if values:
-            sp.add_argument("--dividend", type=int, required=True)
-            sp.add_argument("--divisor", type=int, required=True)
-        sp.add_argument("--out", help="write output to this path instead of stdout")
-
-    common(sub.add_parser("arity", help="derive (m, n) and the shape invariants"))
-    common(sub.add_parser("ring", help="describe the infinite ring"))
-    common(sub.add_parser("primes", help="polyadic prime scan"), kmax=True)
-    common(sub.add_parser("euler", help="polyadic totient scan"), kmax=True)
-    common(sub.add_parser("divide", help="exact polyadic division"), values=True)
-    common(sub.add_parser("remainder", help="division with remainder"),
-           values=True, radius=True)
-    common(sub.add_parser("finite", help="classify one finite ring"), q=True)
-    common(sub.add_parser("group", help="multiplicative group decomposition"), q=True)
-
-    t = sub.add_parser("table", help="regenerate the classification tables")
-    t.add_argument("--out", help="directory to write tables/ into")
-
-    common(sub.add_parser("appendix", help="full listing of one catalogued field"),
-           q=True)
-
-    s = sub.add_parser("scan", help="structure reports over a grid, JSON-lines")
-    s.add_argument("--bmax", type=int, required=True)
-    s.add_argument("--qmax", type=int, required=True)
-    s.add_argument("--out", help="write output to this path instead of stdout")
-
-    for name, choices in _FORMATS.items():
-        sub.choices[name].add_argument("--format", choices=choices, default=choices[-1])
+    for name, (help_line, options, formats, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for flag, spec in options:
+            sp.add_argument(flag, **spec)
+        if formats:
+            sp.add_argument("--format", choices=formats, default=formats[-1])
     return p
 
 
@@ -125,20 +77,27 @@ def _emit(text: str | Iterator[str], out: str | None) -> None:
         raise _StdoutError(exc.strerror or exc) from None
 
 
+def _line(obj) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _values(fr: FiniteRing, ks) -> str:
+    return ", ".join(str(fr.rep(k)) for k in ks)
+
+
 def _cmd_arity(args) -> str:
     d = make_descriptor(args.a, args.b)
-    return json.dumps({"m": d.m, "n": d.n, "I": d.i_shape, "J": d.j_shape},
-                      separators=(",", ":")) + "\n"
+    return _line({"m": d.m, "n": d.n, "I": d.i_shape, "J": d.j_shape})
 
 
 def _cmd_ring(args) -> str:
     d = make_descriptor(args.a, args.b)
     if args.format == "json":
-        return json.dumps({
+        return _line({
             "a": d.a, "b": d.b, "m": d.m, "n": d.n, "I": d.i_shape, "J": d.j_shape,
             "limiting": d.is_limiting,
             "units": [u.value for u in d.units()],
-        }, separators=(",", ":")) + "\n"
+        })
     unit_text = ", ".join(str(u.value) for u in d.units()) or "none"
     return (f"{d!r}: I={d.i_shape} J={d.j_shape} "
             f"limiting={'yes' if d.is_limiting else 'no'} units={unit_text}\n")
@@ -151,12 +110,12 @@ def _cmd_primes(args) -> str:
     scan = prime_scan(d, args.kmax)
     gap = primes_gap(d)
     if args.format == "json":
-        return json.dumps({
+        return _line({
             "gap": list(gap),
             "primes": [x.value for x in scan.primes],
             "pi": scan.pi,
             "delta": [x.value for x in scan.delta],
-        }, separators=(",", ":")) + "\n"
+        })
     return (
         f"{d!r} k_max={args.kmax}\n"
         f"primes gap: ({gap[0]}, {gap[1]})\n"
@@ -173,8 +132,7 @@ def _cmd_euler(args) -> str:
     d = make_descriptor(args.a, args.b)
     members, phi = euler_scan(d, args.kmax)
     if args.format == "json":
-        return json.dumps({"members": [x.value for x in members], "phi": phi},
-                          separators=(",", ":")) + "\n"
+        return _line({"members": [x.value for x in members], "phi": phi})
     return (f"{d!r} k_max={args.kmax}\n"
             f"S = {{{', '.join(str(x.value) for x in members)}}}\n"
             f"phi = {phi}\n")
@@ -186,8 +144,7 @@ def _cmd_divide(args) -> str:
     d = make_descriptor(args.a, args.b)
     result = polyadic_divide(d.from_value(args.dividend), d.from_value(args.divisor))
     if args.format == "json":
-        return json.dumps({"quotient": None if result is None else result.value},
-                          separators=(",", ":")) + "\n"
+        return _line({"quotient": None if result is None else result.value})
     return ("none" if result is None else str(result.value)) + "\n"
 
 
@@ -221,11 +178,10 @@ def _cmd_finite(args) -> str:
     report = structure_report(fr)
     if args.format == "json":
         return to_json(report) + "\n"
-    values = lambda ks: ", ".join(str(fr.rep(k)) for k in ks)
     lines = [
         f"{fr!r}: field={'yes' if report.is_field else 'no'}",
         f"zero: {fr.rep(report.zero) if report.zero is not None else 'none'}",
-        f"units: {values(report.units) or 'none'} (kappa_e={report.kappa_e})",
+        f"units: {_values(fr, report.units) or 'none'} (kappa_e={report.kappa_e})",
         f"q* = {report.q_star} ({'n-admissible' if report.n_admissible else 'not n-admissible'})",
         f"chi_p = {report.chi_p if report.chi_p is not None else 'undefined'}",
         f"lambda_p = {report.lambda_p if report.lambda_p is not None else 'undefined'}",
@@ -238,14 +194,13 @@ def _cmd_group(args) -> str:
     dec = decompose(structure_report(fr))
     if args.format == "json":
         return to_json(group=dec) + "\n"
-    values = lambda ks: ", ".join(str(fr.rep(k)) for k in ks)
     lines = [f"{fr!r} multiplicative group"]
     for i, g in enumerate(dec.subgroups, start=1):
-        lines.append(f"G{i} = {{{values(g)}}}")
-    lines.append(f"E(G) = {{{values(dec.unit_subgroup)}}}")
+        lines.append(f"G{i} = {{{_values(fr, g)}}}")
+    lines.append(f"E(G) = {{{_values(fr, dec.unit_subgroup)}}}")
     lines.append(f"disjoint={dec.pairwise_disjoint} covers={dec.covers} "
                  f"split={dec.unit_subgroup_split}")
-    lines.append(f"primitive: {values(dec.primitive_elements) or 'none'} "
+    lines.append(f"primitive: {_values(fr, dec.primitive_elements) or 'none'} "
                  f"(kappa_prim={dec.kappa_prim})")
     refl = ", ".join(f"{fr.rep(k)}->{l}" for k, l in dec.reflections) or "none"
     lines.append(f"reflections: {refl}")
@@ -279,6 +234,40 @@ def _cmd_scan(args) -> Iterator[str]:
     return (to_json(r, decompose(r) if r.is_field else None) + "\n" for r in reports)
 
 
+# Options as add_argument's flag and keywords.
+_INT = {"type": int, "required": True}
+_A = ("--a", {**_INT, "help": "residue 0 <= a <= b-1"})
+_B = ("--b", {**_INT, "help": "modulus b >= 1"})
+_Q = ("--q", {**_INT, "help": "finite ring order"})
+_KMAX = ("--kmax", {**_INT, "help": "index scan bound"})
+_VALUES = (("--dividend", _INT), ("--divisor", _INT))
+_RADIUS = ("--radius", {"type": int, "default": 64,
+                        "help": "extra quotient-index search radius (default 64)"})
+_OUT = ("--out", {"help": "write output to this path instead of stdout"})
+_TEXT = ("json", "text")
+
+# name: (help line, options in usage order, the --format values that change
+# its output with the default last, handler)
+_COMMANDS = {
+    "arity": ("derive (m, n) and the shape invariants", (_A, _B, _OUT), (), _cmd_arity),
+    "ring": ("describe the infinite ring", (_A, _B, _OUT), _TEXT, _cmd_ring),
+    "primes": ("polyadic prime scan", (_A, _B, _KMAX, _OUT), _TEXT, _cmd_primes),
+    "euler": ("polyadic totient scan", (_A, _B, _KMAX, _OUT), _TEXT, _cmd_euler),
+    "divide": ("exact polyadic division", (_A, _B, *_VALUES, _OUT), _TEXT, _cmd_divide),
+    "remainder": ("division with remainder", (_A, _B, _RADIUS, *_VALUES, _OUT), _TEXT,
+                  _cmd_remainder),
+    "finite": ("classify one finite ring", (_A, _B, _Q, _OUT), _TEXT, _cmd_finite),
+    "group": ("multiplicative group decomposition", (_A, _B, _Q, _OUT), _TEXT, _cmd_group),
+    "table": ("regenerate the classification tables",
+              (("--out", {"help": "directory to write tables/ into"}),),
+              ("json", "csv", "md"), _cmd_table),
+    "appendix": ("full listing of one catalogued field", (_A, _B, _Q, _OUT),
+                 ("json", "md"), _cmd_appendix),
+    "scan": ("structure reports over a grid, JSON-lines",
+             (("--bmax", _INT), ("--qmax", _INT), _OUT), (), _cmd_scan),
+}
+
+
 def main(argv=None) -> int:
     # Results are exact, and J = (a^n - a)/b can have hundreds of thousands
     # of digits; CPython >= 3.11 refuses to print an int over 4300 digits.
@@ -286,31 +275,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
-        handler = {
-            "arity": _cmd_arity,
-            "ring": _cmd_ring,
-            "primes": _cmd_primes,
-            "euler": _cmd_euler,
-            "divide": _cmd_divide,
-            "remainder": _cmd_remainder,
-            "finite": _cmd_finite,
-            "group": _cmd_group,
-            "appendix": _cmd_appendix,
-            "scan": _cmd_scan,
-            "table": _cmd_table,
-        }[args.command]
+        handler = _COMMANDS[args.command][3]
         # table writes its --out directory itself and lists the files on stdout.
         _emit(handler(args), None if args.command == "table" else args.out)
         return 0
-    except ForbiddenPairError as exc:
+    except (ValueError, PolyadicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotAFieldError, NotLimitingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (UnknownFieldIdError, ValueError, PolyadicError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, ForbiddenPairError):
+            return 2
+        return 3 if isinstance(exc, (NotAFieldError, NotLimitingError)) else 4
     except _StdoutError as exc:
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 5

@@ -383,7 +383,8 @@ def structure_report(fr: FiniteRing) -> StructureReport:
         lambda_p=lambda_p,
         element_orders=tuple(orders),
         q_star=q_star,
-        n_admissible=(q_star - 1) % n1 == 0,
+        # A word has length >= 1 (`ring._fold`), so q* = 0 is never admissible.
+        n_admissible=q_star >= 1 and (q_star - 1) % n1 == 0,
         zeroless=zero is None,
         nonunital=not units,
         cycles=cycles,

@@ -39,6 +39,11 @@ class TestExamples:
         code, _, _ = run_main(capsys, "group", "--a", "2", "--b", "3", "--q", "6")
         assert code == 3
 
+    def test_not_limiting_exits_3(self, capsys):
+        code, out, err = run_main(capsys, "primes", "--a", "2", "--b", "5", "--kmax", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_arguments_exit_4(self):
         with pytest.raises(SystemExit) as exc:
             main(["arity", "--a", "3"])
@@ -190,6 +195,46 @@ class TestPayloads:
             capsys, "remainder", "--a", a, "--b", b, "--dividend", x1,
             "--divisor", x2, "--radius", "2", "--format", fmt)
         assert code == 0 and out == expected
+
+    # The README's example inputs, in each --format the command accepts.
+    @pytest.mark.parametrize("argv, expected", [
+        ("ring --a 8 --b 10",
+         "Z_(6,5)^[8,10]: I=4 J=3276 limiting=no units=none\n"),
+        ("ring --a 8 --b 10 --format json",
+         '{"a":8,"b":10,"m":6,"n":5,"I":4,"J":3276,"limiting":false,"units":[]}\n'),
+        ("primes --a 50 --b 51 --kmax 5",
+         "Z_(52,3)^[50,51] k_max=5\n"
+         "primes gap: (-2500, 2600)\n"
+         "primes: -205, -154, -103, -52, -1, 50, 101, 152, 203, 254, 305\n"
+         "pi = 11\n"
+         "binary-composite primes: -205, -154, -52, 50, 152, 203, 254, 305\n"),
+        ("primes --a 50 --b 51 --kmax 5 --format json",
+         '{"gap":[-2500,2600],"primes":[-205,-154,-103,-52,-1,50,101,152,203,254,305],'
+         '"pi":11,"delta":[-205,-154,-52,50,152,203,254,305]}\n'),
+        ("euler --a 1 --b 29 --kmax 10",
+         "Z_(30,2)^[1,29] k_max=10\n"
+         "S = {-260, -202, -173, -115, -86, -28, 1, 59, 88, 146, 175, 233, 262}\n"
+         "phi = 13\n"),
+        ("euler --a 1 --b 29 --kmax 10 --format json",
+         '{"members":[-260,-202,-173,-115,-86,-28,1,59,88,146,175,233,262],"phi":13}\n'),
+        ("divide --a 4 --b 9 --dividend 256 --divisor 4 --format json",
+         '{"quotient":4}\n'),
+        ("finite --a 5 --b 8 --q 2",
+         "Z_(9,3)^[5,8](2): field=yes\n"
+         "zero: none\n"
+         "units: none (kappa_e=0)\n"
+         "q* = 2 (not n-admissible)\n"
+         "chi_p = undefined\n"
+         "lambda_p = 2\n"),
+        ("finite --a 5 --b 8 --q 2 --format json",
+         '{"a":5,"b":8,"m":9,"n":3,"I":5,"J":15,"q":2,"q_star":2,"n_admissible":false,'
+         '"zero":null,"units":[],"kappa_e":0,"is_field":true,"chi_p":null,"lambda_p":2,'
+         '"zeroless":true,"nonunital":true,"element_orders":{"0":2,"1":2}}\n'),
+    ], ids=["ring-text", "ring-json", "primes-text", "primes-json", "euler-text",
+            "euler-json", "divide-json", "finite-text", "finite-json"])
+    def test_output_bytes(self, capsys, argv, expected):
+        code, out, err = run_main(capsys, *argv.split())
+        assert code == 0 and err == "" and out == expected
 
     def test_remainder_json_is_json_dumps(self, capsys, tmp_path):
         from polyadic.arithmetic import divide_with_remainder

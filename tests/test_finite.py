@@ -19,6 +19,7 @@ from polyadic.finite import (
     structure_report,
 )
 from polyadic.oracle import proper_subfields
+from polyadic.ring import allowed_residues
 from conftest import scan_rings
 
 
@@ -170,6 +171,15 @@ class TestStructureReport:
         assert payload["zeroless"] and payload["nonunital"]
         text = json.dumps(payload)
         assert text.index('"a"') < text.index('"q_star"') < text.index('"element_orders"')
+
+    def test_single_zero_element_is_not_n_admissible(self):
+        # At q = 1 the one element is the zero, so q* = 0, and no word of
+        # length 0 is admissible; the congruence alone holds for every n = 2.
+        rings = [finite_ring(a, b, 1) for b in range(1, 13) for a in allowed_residues(b)]
+        assert any(fr.ring.n == 2 for fr in rings)
+        for fr in rings:
+            report = structure_report(fr)
+            assert report.q_star == 0 and report.n_admissible is False, fr
 
     def test_fingerprints_separate_same_shape_rings(self):
         # same arities and order, structurally different rings
