@@ -320,7 +320,9 @@ def euler_scan(ring: RingDescriptor, k_max: int) -> tuple[list[PolyInt], int]:
     interval ends (ordinary gcd on absolute values).
 
     In the binary limit the irreducibility filter is dropped so the scan
-    agrees with the classical totient count (twice phi of k_max).
+    agrees with the classical totient count: twice phi of k_max for
+    k_max >= 2.  At k_max = 1 the only candidate is 0, which is kept
+    because gcd(0, 1) = 1, so the count is 1.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -7,15 +7,25 @@ exact representative product reduced back to an index.  This module
 classifies those rings: zero, units, field property, polyadic
 characteristic, idempotence orders, and the JSON text of a report.
 
-Zero, units, the field test and the characteristic are closed forms in
-the representatives, each proved in its docstring, so they cost O(q)
-modular operations and search no set of products.  Idempotence orders
-come from `power_cycles`, one walk per cycle of powers rather than one
-per element: every index on a cycle reads its order off its position,
-and an index that has no order is recognised by a gcd test without a
-walk.  `structure_report` walks the cycles once and keeps them on the
-report, where `groups` reads them.  `to_json` is the one JSON writer of
-reports and group decompositions.  Nothing is cached.
+Each question about one ring or one element is a proved closed form,
+with the proof in its docstring, and none loops over the q indices:
+
+- the zero solves a linear congruence modulo q, so at most
+  gcd(m-1, q) candidates are tested (`find_zero`);
+- the field test is a few gcds and one primality test of q (`is_field`);
+- an element's idempotence order is a multiplicative order modulo a
+  divisor of b*q, which costs the factorisation of b*q and of its
+  exponent (`element_order`);
+- the multiplicative querelements solve one linear congruence
+  (`mult_querelements`).
+
+Only the outputs of size Θ(q) cost O(q): the units (`find_units`) and
+the order of every element.  Those orders come from `power_cycles`, one
+walk per cycle of powers: every index on a cycle reads its order off its
+position, and an index that has no order is recognised by a gcd test
+without a walk.  `structure_report` walks the cycles once and keeps them
+on the report, where `groups` reads them.  `to_json` is the one JSON
+writer of reports and group decompositions.  Nothing is cached.
 
 `FiniteRing` and `StructureReport` are `typing.NamedTuple`s, not
 dataclasses, so that no process pays for importing `dataclasses` (see
@@ -30,6 +40,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ArityMismatchError, NoFiniteOrderError
+from .factor import _is_binary_prime, multiplicative_order
 from .ring import RingDescriptor, make_descriptor
 
 REPORT_KEYS = (
@@ -106,11 +117,36 @@ def additive_quer_index(fr: FiniteRing, k: int) -> int:
     return ((2 - fr.ring.m) * k - fr.ring.i_shape) % fr.q
 
 
+def _congruence(c: int, t: int, mod: int) -> range:
+    """The x in [0, mod) with c*x = t (mod mod), in increasing order.
+
+    With g = gcd(c, mod) there are none unless g | t; otherwise they are
+    one class modulo mod/g, x0 + j*mod/g for j = 0..g-1, where
+    x0 = (t/g) * (c/g)^-1 mod mod/g, since c/g is invertible modulo mod/g.
+    """
+    g = gcd(c, mod)
+    if t % g:
+        return range(0)
+    period = mod // g
+    return range(t // g * pow(c // g, -1, period) % period, mod, period)
+
+
+def _coprime_part(w: int, d: int) -> int:
+    """The largest divisor of w >= 1 prime to d: divide out gcd(w, d) while it exceeds 1."""
+    while (g := gcd(w, d)) > 1:
+        w //= g
+    return w
+
+
 def find_zero(fr: FiniteRing) -> Optional[int]:
     """The multiplicatively absorbing, additively 1-idempotent index, if any.
 
     Index z is the zero exactly when (m-1)*z + I = 0 (mod q) and, with
-    h = b*q / gcd(rep z, b*q), h divides b and a^(n-1) = 1 (mod h).
+    h = b*q / gcd(rep z, b*q), h divides b and a^(n-1) = 1 (mod h).  The
+    first condition is a linear congruence: with g = gcd(m-1, q) it has no
+    solution unless g | I, and otherwise its solutions are z0 + j*q/g for
+    j = 0..g-1.  So at most g <= m-1 candidates go through the second
+    test, in index order, and the cost does not grow with q.
 
     Proof sketch.  The first condition is m*z + I = z rewritten.  z absorbs
     when rep(z)*p = rep(z) (mod b*q), that is p = 1 (mod h), for every
@@ -120,15 +156,14 @@ def find_zero(fr: FiniteRing) -> Optional[int]:
     a^(n-1) = 1 (mod h), so a is invertible modulo h; for q >= 2, swapping
     one factor for rep(1) = a + b changes p by b*a^(n-2), so h | b.  For
     q = 1, h divides b*q = b anyway.  An absorbing element is unique, so
-    the first index passing the test is the zero.
+    the first candidate passing the test is the zero.  With the minimal
+    arities of `make_descriptor` the first condition alone implies the
+    second, but a descriptor with a larger m or n needs both.
     """
-    a, b, m1, i_shape, q = fr.ring.a, fr.ring.b, fr.ring.m - 1, fr.ring.i_shape, fr.q
-    mod = b * q
-    for z in range(q):
-        if (m1 * z + i_shape) % q:
-            continue
+    a, b, n1, mod = fr.ring.a, fr.ring.b, fr.ring.n - 1, fr.modulus
+    for z in _congruence(fr.ring.m - 1, -fr.ring.i_shape, fr.q):
         h = mod // gcd(a + b * z, mod)
-        if b % h == 0 and pow(a, fr.ring.n - 1, h) == 1 % h:
+        if b % h == 0 and pow(a, n1, h) == 1 % h:
             return z
     return None
 
@@ -161,17 +196,32 @@ def _units(fr: FiniteRing, candidates) -> tuple[int, ...]:
 
 
 def mult_querelements(fr: FiniteRing, k: int) -> tuple[int, ...]:
-    """All y with mu[k^(n-1), y] = k; fields need exactly one per element."""
-    power = pow(fr.rep(k), fr.ring.n - 1, fr.modulus)
-    target = fr.rep(k)
-    return tuple(y for y in fr.elements() if (power * fr.rep(y)) % fr.modulus == target)
+    """All y with mu[k^(n-1), y] = k; fields need exactly one per element.
+
+    With p = rep(k)^(n-1) they are the solutions of the linear congruence
+    p*y + (p*a - a)/b = k (mod q): none unless g = gcd(p, q) divides the
+    right-hand side, else y0 + j*q/g for j = 0..g-1, in increasing order.
+    One congruence, however large q is; the output has g entries or none.
+
+    Proof sketch.  mu[k^(n-1), y] is the index of p*(a + b*y) =
+    a + b*(p*y + (p*a - a)/b) modulo b*q, where p*a = a^n = a (mod b)
+    makes the quotient exact, and a shift of p by b*q moves it by a
+    multiple of q.
+    """
+    a, b = fr.ring.a, fr.ring.b
+    p = pow(fr.rep(k), fr.ring.n - 1, fr.modulus)
+    return tuple(_congruence(p, k - (p * a - a) // b, fr.q))
 
 
 def is_field(fr: FiniteRing) -> bool:
     """Whether the additive and the non-zero multiplicative structure are groups.
 
     The ring is a field exactly when it has a non-zero element and every
-    non-zero representative is coprime to q.
+    non-zero representative is coprime to q.  In closed form: for q = 1
+    when it has no zero; for q >= 2 when either every prime of q divides b
+    and gcd(a, q) = 1, or q is a prime that does not divide b.  That
+    costs a few gcds and one primality test of q
+    (`factor._is_binary_prime`).
 
     Proof sketch.  Additive translations k -> k + s + I permute the
     indices, so only multiplication can fail.  Multiplying by a product p
@@ -186,16 +236,30 @@ def is_field(fr: FiniteRing) -> bool:
     injective on the non-zero indices.  With a zero z, the preimage of z
     holds z and at least one non-zero index, which p sends out of the
     non-zero indices.  Either way it is not a field.
+
+    The closed form asks, for each prime p | q, which indices k have
+    p | a + b*k.  If p | b, that is every index when p | a and none
+    otherwise; for q >= 2 there is a non-zero index, so p must not divide
+    a.  If p does not divide b, it is the q/p indices k = -a*b^-1 (mod p),
+    all of which must be the zero: so q = p, and the zero must be that
+    index k0.  It always is (`find_zero`): (m-1)*rep(k0) vanishes modulo
+    b, as (m-1)*a does, and modulo p, so k0 solves the congruence; and
+    h = b*p / gcd(rep(k0), b*p) = b/gcd(a, b) divides b and is coprime to
+    a (`ring.derive_arities`), so a^n = a (mod b) gives a^(n-1) = 1
+    (mod h).  A q with primes of both kinds has q != p for its prime p
+    outside b.  At q = 1 the one element has a representative coprime to
+    1, and the ring is a field iff that element is not the zero.
     """
     return _is_field(fr, find_zero(fr))
 
 
 def _is_field(fr: FiniteRing, zero: Optional[int]) -> bool:
     a, b, q = fr.ring.a, fr.ring.b, fr.q
-    gcds = list(map(gcd, range(a, a + b * q, b), [q] * q))  # gcd(rep k, q) per k
-    if zero is not None:
-        del gcds[zero]
-    return bool(gcds) and max(gcds) == 1
+    if q == 1:
+        return zero is None
+    if _coprime_part(q, b) == 1:  # every prime of q divides b
+        return gcd(a, q) == 1
+    return _is_binary_prime(q)  # a prime q here does not divide b
 
 
 def power_cycles(fr: FiniteRing) -> tuple[tuple[int, ...], ...]:
@@ -239,39 +303,31 @@ def power_cycles(fr: FiniteRing) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def power_orbit(fr: FiniteRing, k: int) -> tuple[int, ...]:
-    """Indices of k and its successive multiplicative powers, to the first repeat.
-
-    The l-th power of k is rep(k)^(l*(n-1)+1), each the previous one times
-    rep(k)^(n-1).  The last entry is the first index seen twice; all
-    earlier entries are distinct, so the tuple has at most q + 1 entries
-    and every index that any power of k reaches is in it.
-    """
-    a, b, mod = fr.ring.a, fr.ring.b, fr.modulus
-    v = fr.rep(k)
-    step = pow(v, fr.ring.n - 1, mod)
-    walk = [(v - a) // b]
-    seen = set(walk)
-    while True:
-        v = v * step % mod
-        idx = (v - a) // b
-        walk.append(idx)
-        if idx in seen:
-            return tuple(walk)
-        seen.add(idx)
-
-
-def _order(walk: tuple[int, ...]) -> Optional[int]:
-    # k has an order exactly when the first repeat is k itself.
-    return len(walk) - 1 if walk[-1] == walk[0] else None
-
-
 def element_order(fr: FiniteRing, k: int) -> int:
-    """Least lam >= 1 with the lam-th multiplicative power equal to k itself."""
-    walk = power_orbit(fr, k)
-    order = _order(walk)
-    if order is None:
-        raise NoFiniteOrderError(k, len(walk) - 1 - walk.index(walk[-1]))
+    """Least lam >= 1 with the lam-th multiplicative power equal to k itself.
+
+    With r = rep(k) and h the part of b*q coprime to r, it is the order of
+    r^(n-1) modulo h (`factor.multiplicative_order`), so it costs the
+    factorisation of h and of its exponent, not a walk.  k has no order
+    exactly when gcd(r, b*q / gcd(r, b*q)) > 1; then NoFiniteOrderError
+    carries that same order of r^(n-1) modulo h as the length of the
+    cycle the powers of k end in.
+
+    Proof sketch.  The l-th power of k has representative r*s^l mod b*q
+    with s = r^(n-1).  When gcd(r, b*q / gcd(r, b*q)) = 1, each prime of
+    r divides b*q no more often than it divides r, so b*q / gcd(r, b*q) = h,
+    and the power is k iff s^l = 1 (mod h) (`power_cycles`).  In any
+    case, modulo p^e || b*q with p | r, r*s^l is 0 once l*(n-1) + 1 >= e;
+    modulo the other p^e, r is a unit and r*s^l repeats with the period
+    of s modulo p^e.  By the Chinese remainder theorem the powers end in
+    a cycle whose length is the lcm of those periods, the order of s
+    modulo h.
+    """
+    r, mod = fr.rep(k), fr.modulus
+    h = _coprime_part(mod, r)
+    order = multiplicative_order(pow(r, fr.ring.n - 1, h), h)
+    if gcd(r, mod // gcd(r, mod)) != 1:
+        raise NoFiniteOrderError(k, order)
     return order
 
 
@@ -309,13 +365,8 @@ def _characteristic(fr: FiniteRing, zero: Optional[int],
 def _least_additive_steps(fr: FiniteRing, e: int, zero: int) -> Optional[int]:
     b, mod = fr.ring.b, fr.modulus
     c = (fr.ring.m - 1) * (fr.ring.a + b * e) % mod
-    target = b * (zero - e) % mod  # rep(zero) - rep(e)
-    g = gcd(c, mod)
-    if target % g:
-        return None
-    period = mod // g
-    l0 = target // g * pow(c // g, -1, period) % period
-    return l0 or period
+    solutions = _congruence(c, b * (zero - e), mod)  # rep(zero) - rep(e)
+    return (solutions[0] or solutions.step) if solutions else None
 
 
 class StructureReport(NamedTuple):

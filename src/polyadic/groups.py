@@ -3,13 +3,15 @@
 Cyclic subgroups generated by polyadic powers, the split between them
 and the subgroup of units, primitive elements, and reflections (elements
 a power of which lands on a unit).  Every function here takes the ring's
-`finite.StructureReport` and walks nothing on a field: primitive
-elements are read off its element orders, and subgroups and reflections
-off the cycles of powers that `finite.structure_report` walked once and
-kept in `report.cycles`.  The subgroup an element generates is a slice
-of its cycle, built once per distinct slice, and its reflection solves a
-linear congruence.  Only an element without an order, which no field
-has, is walked on its own.  Nothing is cached.
+`finite.StructureReport` and walks nothing: primitive elements are read
+off its element orders, and subgroups and reflections off the cycles of
+powers that `finite.structure_report` walked once and kept in
+`report.cycles`.  The subgroup an element generates is a slice of its
+cycle, built once per distinct slice, and its reflection solves a linear
+congruence.  An element without an order, which no field has, never
+reaches a unit (`_subgroups_and_reflections` proves it), so it needs no
+walk either.  The cost is that of reading the cycles, Θ(q) like the
+output of `decompose`.  Nothing is cached.
 
 `GroupDecomposition` is a `typing.NamedTuple`, not a dataclass, so that
 no process pays for importing `dataclasses` (see `ring`): it iterates,
@@ -22,7 +24,7 @@ import json
 from typing import NamedTuple
 
 from .errors import NotAFieldError, NoUnitsError
-from .finite import FiniteRing, StructureReport, power_orbit, to_json
+from .finite import FiniteRing, StructureReport, to_json
 
 
 class GroupDecomposition(NamedTuple):
@@ -79,9 +81,19 @@ def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, 
     two such places t, t' then give o | (t - t')(n-1), so t = t'.  The
     least l >= 1 solves l*e_i = t - i (mod o), which has the stated
     solutions by the usual rule; l = 0 would mean t = i, that is k a
-    unit.  An index with no order is on no cycle and is walked by
-    `finite.power_orbit` instead; its walk holds every index that any
-    power reaches.
+    unit.
+
+    An index k with no order is on no cycle and never reaches a unit, so
+    it is skipped.  With r = rep(k), it has no order when some prime p
+    divides both r and h = b*q / gcd(r, b*q) (`finite.power_cycles`).
+    Suppose p does not divide q.  Then p | b, and v_p(r) < v_p(b*q) =
+    v_p(b); since r = a (mod b), v_p(a) = v_p(r) < v_p(b).  A unit u =
+    rep(e) is a modulo b too, so p | u, u^(n-1) - 1 is prime to p, and
+    the unit condition b*q | (u^(n-1) - 1)*a (`finite.find_units`) gives
+    v_p(b) <= v_p(a): impossible.  So when the ring has a unit, p | q,
+    and every power of k, with representative r^(1+l(n-1)) mod b*q,
+    shares p with q, while a unit's representative is prime to q since
+    u^(n-1) = 1 (mod q).  No power of k is a unit.
     """
     q, n1 = report.ring.q, report.ring.ring.n - 1
     orders, cycles, zero = report.element_orders, report.cycles, report.zero
@@ -102,14 +114,8 @@ def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, 
     # set at once from a dict pre-sizes its table and reorders the ties.
     candidates, built, refl = set(), set(), {}
     for k in range(q):
-        if k in units or k == zero:
-            continue
         c = cycle_of[k]
-        if c < 0:
-            walk = power_orbit(report.ring, k)
-            l = next((l for l in range(1, len(walk)) if walk[l] in units), None)
-            if l is not None:
-                refl[k] = l
+        if k in units or k == zero or c < 0:  # c < 0: k has no order
             continue
         i, o, cycle, t = place[k], orders[k], cycles[c], unit_place[c]
         g = len(cycle) // o

@@ -3,7 +3,8 @@
 These deliberately share no code with the main paths: arities come from
 a plain double scan, index multiplication from the literal
 symmetric-polynomial expansion, the zero, the units and the field
-check from exhaustive tuple enumeration, powers by repeated
+check from exhaustive tuple enumeration, querelements by trying every
+index, powers by repeated
 multiplication, divisors and primality from trial division up to the
 square root, and decompositions from every sorted tuple of divisors.
 Tests use them as the arbiter wherever the main path uses a closed form
@@ -132,14 +133,20 @@ def oracle_power_walk(fr: FiniteRing, k: int) -> list[int]:
 
 
 def oracle_zero(fr: FiniteRing) -> Optional[int]:
-    """The first index that every (n-1)-tuple multiplies back onto itself."""
+    """The first index z with nu[z^m] = z that every (n-1)-tuple multiplies back onto z."""
     for z in fr.elements():
-        if all(
+        if _add(fr, (z,) * fr.ring.m) == z and all(
             _mul(fr, (z,) + t) == z
             for t in product(fr.elements(), repeat=fr.ring.n - 1)
         ):
             return z
     return None
+
+
+def oracle_querelements(fr: FiniteRing, k: int) -> tuple[int, ...]:
+    """Every y with mu[k^(n-1), y] = k, by trying each index with `_mul`."""
+    return tuple(y for y in fr.elements()
+                 if _mul(fr, (k,) * (fr.ring.n - 1) + (y,)) == k)
 
 
 def oracle_units(fr: FiniteRing) -> tuple[int, ...]:

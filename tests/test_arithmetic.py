@@ -313,6 +313,8 @@ class TestEulerScan:
         ring = make_descriptor(0, 1)
         for k in range(2, 40):
             assert euler_scan(ring, k)[1] == 2 * totient(k)
+        # At k_max = 1 the one candidate, 0, is coprime to the ends +-1.
+        assert euler_scan(ring, 1) == ([ring.element(0)], 1)
 
 
 class TestFactorisation:

@@ -1,8 +1,10 @@
 import json
+from math import gcd
 
 import pytest
 
 from polyadic.errors import ArityMismatchError, NoFiniteOrderError
+from polyadic.factor import _prime_factors
 from polyadic.finite import (
     REPORT_KEYS,
     additive_quer_index,
@@ -148,6 +150,61 @@ class TestElementOrders:
         # zero 4 and never returns.
         with pytest.raises(NoFiniteOrderError):
             element_order(finite_ring(4, 6, 2), 1)
+
+
+class TestHugeOrders:
+    # (a, b, q, field verdict, a non-zero index whose representative shares
+    # a prime with q in a non-field).  2^61 - 1 is prime; 10^40 + 1 is
+    # divisible by 17 = rep 5 of [[2]]_3.  No call may walk the q indices.
+    ROWS = [(1, 2, 2**61 - 1, True, None),
+            (3, 4, 10**18, False, 3),
+            (2, 3, 10**40 + 1, False, 5)]
+
+    @pytest.mark.parametrize("a,b,q,field,witness", ROWS)
+    def test_results_satisfy_their_defining_congruences(self, a, b, q, field, witness):
+        fr = finite_ring(a, b, q)
+        d, mod = fr.ring, fr.modulus
+        n1 = d.n - 1
+        zero = find_zero(fr)
+        if zero is None:
+            assert d.i_shape % gcd(d.m - 1, q) != 0  # (m-1)z = -I has no solution
+        else:
+            rz = fr.rep(zero)
+            assert (d.m * zero + d.i_shape) % q == zero
+            for ks in ([0] * n1, [1] * n1, [q - 1, q // 3, 7][:n1]):
+                prod = 1
+                for k in ks:
+                    prod = prod * fr.rep(k) % mod
+                assert rz * prod % mod == rz
+        assert is_field(fr) is field
+        if field:
+            # q is prime, and the zero is the one index whose representative q divides.
+            assert pow(2, q - 1, q) == 1 and fr.rep(zero) % q == 0
+        else:
+            assert gcd(fr.rep(witness), q) > 1 and witness != zero
+            assert len(mult_querelements(fr, witness)) != 1
+        for k in (0, 1, 2, 3, 12345, q // 3, q - 1):
+            r = fr.rep(k)
+            if k == zero:
+                continue  # every y is a querelement of the zero: q of them
+            try:
+                o = element_order(fr, k)
+                start = 0  # r itself lies on its cycle
+            except NoFiniteOrderError as err:
+                o = err.cycle_length
+                start = mod.bit_length()  # past every p^e || b*q with p | r
+                tail = pow(r, 1 + start * o * n1, mod)
+                assert tail != r  # r is not on the cycle its powers end in
+            assert o >= 1
+            base = pow(r, 1 + start * n1, mod)
+            assert pow(r, 1 + (start + o) * n1, mod) == base, k
+            for p in _prime_factors(o):
+                assert pow(r, 1 + (start + o // p) * n1, mod) != base, (k, p)
+            power = pow(r, n1, mod)
+            ys = mult_querelements(fr, k)
+            assert list(ys) == sorted(set(ys)) and all(0 <= y < q for y in ys)
+            assert all(power * fr.rep(y) % mod == r for y in ys), k
+            assert not ys or len(ys) == gcd(power, q), k
 
 
 class TestStructureReport:

@@ -5,9 +5,18 @@ import pytest
 
 from conftest import scan_rings
 from polyadic.arithmetic import _abs_divisors, decompositions, is_irreducible
-from polyadic.errors import ForbiddenPairError
+from polyadic.errors import ForbiddenPairError, NoFiniteOrderError
 from polyadic.factor import _is_binary_prime, _prime_factors
-from polyadic.finite import find_units, find_zero, finite_ring, is_field, structure_report
+from polyadic.finite import (
+    FiniteRing,
+    element_order,
+    find_units,
+    find_zero,
+    finite_ring,
+    is_field,
+    mult_querelements,
+    structure_report,
+)
 from polyadic.groups import cyclic_subgroup, decompose, primitive_elements, reflections
 from polyadic.oracle import (
     oracle_arity,
@@ -18,10 +27,11 @@ from polyadic.oracle import (
     oracle_is_prime,
     oracle_kmult,
     oracle_power_walk,
+    oracle_querelements,
     oracle_units,
     oracle_zero,
 )
-from polyadic.ring import derive_arities, make_descriptor
+from polyadic.ring import RingDescriptor, derive_arities, make_descriptor
 from polyadic.tables import grid_pairs
 
 
@@ -123,11 +133,38 @@ class TestOracleGroupAxioms:
 
 class TestOracleZeroAndUnits:
     def test_agree_with_closed_forms(self):
-        rings = wide_grid()
-        assert len(rings) == 175
+        # Every ring with b, q <= 16, the binary limit and q = 1 included,
+        # on which oracle_zero tries at most 10^4 tuples of n - 1 indices
+        # per candidate: only large n at large q is left out.
+        rings = [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(16)]
+                 for q in range(1, 17)]
+        rings = [fr for fr in rings if fr.q ** (fr.ring.n - 1) <= 10**4]
+        assert len(rings) == 1300
         for fr in rings:
             assert oracle_zero(fr) == find_zero(fr), fr
             assert oracle_units(fr) == find_units(fr), fr
+
+    def test_agree_with_closed_forms_at_larger_arities(self):
+        # A descriptor may carry any m with (m-1)*a = 0 and any n with
+        # a^n = a (mod b), not just the least ones: then both parts of
+        # find_zero's test on the congruence's solutions are needed.
+        rings = []
+        for a, b in grid_pairs(8):
+            d = make_descriptor(a, b)
+            for m in (2 * d.m - 1, 3 * d.m - 2):
+                for n in (d.n, 2 * d.n - 1):
+                    ring = RingDescriptor(a, b, m, n, (m - 1) * a // b, (a**n - a) // b)
+                    rings += [FiniteRing(ring, q) for q in range(1, 9)
+                              if q ** (n - 1) <= 10**3]
+        assert len(rings) == 610
+        fields = 0
+        for fr in rings:
+            assert oracle_zero(fr) == find_zero(fr), fr
+            assert oracle_units(fr) == find_units(fr), fr
+            if fr.q ** (fr.ring.m - 1) + fr.q ** fr.ring.n <= 10**3:
+                assert oracle_is_field(fr) == is_field(fr), fr
+                fields += 1
+        assert fields == 148
 
 
 class TestOraclePowers:
@@ -137,8 +174,8 @@ class TestOraclePowers:
 
     def test_orders_subgroups_and_reflections_agree_everywhere(self):
         # Every ring with b, q <= 12, the binary limit and q = 1 included.
-        # The zero comes from the main path (oracle_zero enumerates q^n
-        # tuples; TestOracleZeroAndUnits checks it up to b, q <= 8).
+        # The zero comes from the main path (oracle_zero enumerates q^(n-1)
+        # tuples; TestOracleZeroAndUnits checks it on a bounded grid).
         rings = [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(12)]
                  for q in range(1, 13)]
         fields = 0
@@ -147,6 +184,16 @@ class TestOraclePowers:
             walks = [oracle_power_walk(fr, k) for k in fr.elements()]
             orders = tuple(len(w) - 1 if w[-1] == w[0] else None for w in walks)
             assert report.element_orders == orders, fr
+            for k, walk in enumerate(walks):
+                # A walk ends at its first repeat; the cycle it closes is
+                # the one the powers of k end in.
+                if orders[k] is None:
+                    with pytest.raises(NoFiniteOrderError) as err:
+                        element_order(fr, k)
+                    assert err.value.cycle_length == len(walk) - 1 - walk.index(walk[-1])
+                else:
+                    assert element_order(fr, k) == orders[k], (fr, k)
+                assert mult_querelements(fr, k) == oracle_querelements(fr, k), (fr, k)
             nonzero = [k for k in fr.elements() if k != report.zero]
             lam = [orders[k] for k in nonzero]
             assert report.lambda_p == (max(lam) if lam and None not in lam else None), fr
