@@ -13,7 +13,6 @@ not grow with the search radius.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -83,18 +82,22 @@ def _class_factors(ring: RingDescriptor, v: int) -> list[int]:
                    if ring.contains(f)), key=abs)
 
 
-def _multisets(factors: list[int], target: int, slots: int, start: int = 0):
+def _multisets(factors: list[int], members: set[int], target: int, slots: int,
+               start: int = 0):
     """Tuples of `slots` entries of factors[start:], in list order, with product `target`.
 
-    `factors` is `_class_factors` of a value that `target` divides.  A
-    tuple's first entry f has |f|^slots <= |target|, so the walk stops at
-    the first f past that bound, at once when |target| < 2^slots since
-    |f| >= 2; the rest starts at f's own index.  The last entry is found
-    by bisection on |f|, not by a scan, as a list can hold thousands.
+    `factors` is `_class_factors` of a value that `target` divides, and
+    `members` is the set of its entries.  A tuple's first entry f has
+    |f|^slots <= |target|, so the walk stops at the first f past that
+    bound, at once when |target| < 2^slots since |f| >= 2; the rest starts
+    at f's own index.  The last entry needs no scan, as a list can hold
+    thousands: the list is sorted by the distinct keys (|f|, f), so target
+    lies in factors[start:] exactly when it is a member whose key is at
+    least that of factors[start].
     """
     if slots == 1:
-        i = bisect_left(factors, abs(target), start, key=abs)
-        if target in factors[i:i + 2]:
+        first = factors[start]
+        if target in members and (abs(target), target) >= (abs(first), first):
             yield (target,)
         return
     for i in range(start, len(factors)):
@@ -102,7 +105,7 @@ def _multisets(factors: list[int], target: int, slots: int, start: int = 0):
         if abs(f) ** slots > abs(target):
             break
         if target % f == 0:
-            for rest in _multisets(factors, target // f, slots - 1, i):
+            for rest in _multisets(factors, members, target // f, slots - 1, i):
                 yield (f,) + rest
 
 
@@ -124,10 +127,11 @@ def decompositions(x: PolyInt, depth: int = _DEFAULT_DEPTH) -> list[tuple[PolyIn
                      if abs(ring.a + ring.b * k) >= 2)
         return [(x, *[ring.from_value(other)] * (ring.n - 1))]
     factors = _class_factors(ring, v)
+    members = set(factors)
     # 2^slots <= |v| holds exactly for slots < bit_length(|v|).
     top = min(depth, (abs(v).bit_length() - 2) // (ring.n - 1))
     return [tuple(ring.from_value(f) for f in values) for l in range(1, top + 1)
-            for values in _multisets(factors, v, l * (ring.n - 1) + 1)]
+            for values in _multisets(factors, members, v, l * (ring.n - 1) + 1)]
 
 
 def is_composite(x: PolyInt) -> bool:
@@ -141,7 +145,8 @@ def is_composite(x: PolyInt) -> bool:
         return True
     if abs(v).bit_length() <= x.ring.n:  # |v| < 2^n
         return False
-    return next(_multisets(_class_factors(x.ring, v), v, x.ring.n), None) is not None
+    factors = _class_factors(x.ring, v)
+    return next(_multisets(factors, set(factors), v, x.ring.n), None) is not None
 
 
 def is_irreducible(x: PolyInt) -> bool:

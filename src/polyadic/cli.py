@@ -13,33 +13,54 @@ not grow with --radius.  Every JSON report and decomposition is
 written by `finite.to_json`.  The parser and the dispatch in `main` are
 both read from one table of commands, `_COMMANDS`.
 
-Importing this module loads `ring`, `finite`, `groups` and `tables`;
-`arithmetic` is imported by the four handlers that use it (`primes`,
-`euler`, `divide`, `remainder`) and `reference` only by the deviations
-report, so the other commands never compile them.  The benchmark's traced
-child wraps its spans in the modules loaded by `import polyadic.cli`, so
-keep these four imported at module level.
+Importing this module registers `finite`, `groups` and `tables` in
+`sys.modules` but executes none of them: `_lazy` loads each through the
+stdlib `importlib.util.LazyLoader`, so its body first runs when a handler
+reads one of its attributes (`finite.structure_report`, ...).  Each
+command thus executes only what it runs: `arity`, `ring`, `primes`,
+`euler`, `divide` and `remainder` none of the three, `finite` and `group`
+not `tables`, and neither does `scan`, as `grid_pairs` lives in `ring`.
+Executing the three was 15.6 ms of a 32.8 ms `import polyadic.cli`
+(`-X importtime`, medians of 12, Python 3.11 without bytecode cache on a
+shared 2-core host), 8.5 ms of it `tables` and `csv`.  They are
+registered rather than imported inside the handlers so that whoever
+inspects what `import polyadic.cli` put in `sys.modules`, as the
+benchmark's traced child does to wrap its spans, still finds all three;
+reading an attribute executes the module.  A module imported before this
+one is used as it is, never replaced.  `arithmetic` is imported by the
+four handlers that use it (`primes`, `euler`, `divide`, `remainder`) and
+`reference` only by the deviations report.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from typing import Iterator
 
 from .errors import ForbiddenPairError, NotAFieldError, NotLimitingError, PolyadicError
-from .finite import FiniteRing, finite_ring, structure_report, to_json
-from .groups import decompose
-from .ring import make_descriptor
-from .tables import (
-    appendix_to_md,
-    classify_grid,
-    generate_appendix,
-    grid_pairs,
-    render_tables,
-    write_tables,
-)
+from .ring import grid_pairs, make_descriptor
+
+
+def _lazy(name: str):
+    """Module `name`, executed on its first attribute access; one already imported is kept."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)  # as an import would
+    return module
+
+
+finite = _lazy("polyadic.finite")
+groups = _lazy("polyadic.groups")
+tables = _lazy("polyadic.tables")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +102,7 @@ def _line(obj) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def _values(fr: FiniteRing, ks) -> str:
+def _values(fr: finite.FiniteRing, ks) -> str:
     return ", ".join(str(fr.rep(k)) for k in ks)
 
 
@@ -174,10 +195,10 @@ def _cmd_remainder(args) -> str | Iterator[str]:
 
 
 def _cmd_finite(args) -> str:
-    fr = finite_ring(args.a, args.b, args.q)
-    report = structure_report(fr)
+    fr = finite.finite_ring(args.a, args.b, args.q)
+    report = finite.structure_report(fr)
     if args.format == "json":
-        return to_json(report) + "\n"
+        return finite.to_json(report) + "\n"
     lines = [
         f"{fr!r}: field={'yes' if report.is_field else 'no'}",
         f"zero: {fr.rep(report.zero) if report.zero is not None else 'none'}",
@@ -190,10 +211,10 @@ def _cmd_finite(args) -> str:
 
 
 def _cmd_group(args) -> str:
-    fr = finite_ring(args.a, args.b, args.q)
-    dec = decompose(structure_report(fr))
+    fr = finite.finite_ring(args.a, args.b, args.q)
+    dec = groups.decompose(finite.structure_report(fr))
     if args.format == "json":
-        return to_json(group=dec) + "\n"
+        return finite.to_json(group=dec) + "\n"
     lines = [f"{fr!r} multiplicative group"]
     for i, g in enumerate(dec.subgroups, start=1):
         lines.append(f"G{i} = {{{_values(fr, g)}}}")
@@ -209,17 +230,17 @@ def _cmd_group(args) -> str:
 
 def _cmd_table(args) -> str:
     if args.out:
-        return "".join(f"{path}\n" for path in write_tables(args.out))
-    texts = render_tables(classify_grid())
+        return "".join(f"{path}\n" for path in tables.write_tables(args.out))
+    texts = tables.render_tables(tables.classify_grid())
     sep = "\n" if args.format == "md" else ""
     return sep.join(texts[f"{t}.{args.format}"] for t in ("T0", "T1", "T2"))
 
 
 def _cmd_appendix(args) -> str:
-    listing = generate_appendix(args.a, args.b, args.q)
+    listing = tables.generate_appendix(args.a, args.b, args.q)
     if args.format == "json":
         return json.dumps(listing, sort_keys=True) + "\n"
-    return appendix_to_md(listing)
+    return tables.appendix_to_md(listing)
 
 
 def _cmd_scan(args) -> Iterator[str]:
@@ -229,9 +250,10 @@ def _cmd_scan(args) -> Iterator[str]:
     if args.qmax < 2:
         raise ValueError("qmax must be >= 2")
     rings = (make_descriptor(a, b) for a, b in grid_pairs(args.bmax))
-    reports = (structure_report(FiniteRing(d, q))
+    reports = (finite.structure_report(finite.FiniteRing(d, q))
                for d in rings for q in range(2, args.qmax + 1))
-    return (to_json(r, decompose(r) if r.is_field else None) + "\n" for r in reports)
+    return (finite.to_json(r, groups.decompose(r) if r.is_field else None) + "\n"
+            for r in reports)
 
 
 # Options as add_argument's flag and keywords.

@@ -26,7 +26,7 @@ whose `__new__` runs the check.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -137,6 +137,15 @@ def make_descriptor(a: int, b: int) -> RingDescriptor:
 def allowed_residues(b: int) -> list[int]:
     """Residues 1..b-1 that head a polyadic ring (forbidden ones skipped)."""
     return [a for a in range(1, b) if gcd(a, b // gcd(a, b)) == 1]
+
+
+def grid_pairs(b_max: int) -> Iterator[tuple[int, int]]:
+    """Allowed (a, b) pairs in (b, a) order, the row order of every table.
+
+    The pairs are yielded as they are needed, so a scan of any bound
+    starts at once and holds one modulus's residues at a time.
+    """
+    return ((a, b) for b in range(2, b_max + 1) for a in allowed_residues(b))
 
 
 def forbidden_residues(b: int) -> list[int]:

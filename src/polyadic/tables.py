@@ -41,22 +41,13 @@ from .errors import UnknownFieldIdError
 from .finite import (FiniteRing, StructureReport, finite_ring, mult_querelements,
                      structure_report)
 from .groups import decompose
-from .ring import allowed_residues, make_descriptor
+from .ring import grid_pairs, make_descriptor
 
 APPENDIX_FIELDS = ((5, 6, 6), (5, 6, 4), (3, 8, 2), (7, 8, 2), (2, 3, 5))
 
 T0_T1_B_MAX = 6  # T0 and T1 print the rings with b <= 6 of the T2 grid
 
 Reports = Mapping[tuple[int, int, int], StructureReport]
-
-
-def grid_pairs(b_max: int) -> Iterator[tuple[int, int]]:
-    """Allowed (a, b) pairs in (b, a) order, the row order of every table.
-
-    The pairs are yielded as they are needed, so a scan of any bound
-    starts at once and holds one modulus's residues at a time.
-    """
-    return ((a, b) for b in range(2, b_max + 1) for a in allowed_residues(b))
 
 
 def classify_grid() -> Reports:

@@ -420,6 +420,19 @@ class TestLargeDecompositions:
         text = json.dumps(got, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[e]
 
+    def test_many_class_factors_unchanged(self):
+        # 3,072 class factors in [[1]]_2 (1,536 divisors, both signs), so the
+        # last entry of each pair is looked up among thousands.  Pinned from
+        # the bisecting search this code replaced.
+        v = 3**3 * 5**2 * 7 * 11 * 13 * 17 * 19 * 23 * 29
+        got = [[f.value for f in dec]
+               for dec in decompositions(make_descriptor(1, 2).from_value(v), 1)]
+        assert len(got) == 1534
+        assert all(a * b == v and abs(a) <= abs(b) for a, b in got)
+        text = json.dumps(got, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c5753dbe3cbae072ea886a52b4af717815b7ca413d28b1ebd00849440c537064")
+
 
 class TestRemainderResidues:
     @pytest.mark.parametrize("pair", [(0, 1), *grid_pairs(12), (1, 13)])

@@ -1,5 +1,11 @@
 """Each command loads only the modules it runs; `import polyadic` resolves names lazily.
 
+`import polyadic.cli` registers `finite`, `groups` and `tables` in
+sys.modules but executes them only when a command reads one of their
+attributes.  A registered module not yet executed is still of the lazy
+loader's own module type, so the probes below tell the two apart by
+`type(module)`, which does not trigger the load.
+
 Every check runs in a fresh interpreter, since the test process may have
 imported any module already.
 """
@@ -14,14 +20,18 @@ import pytest
 import polyadic
 
 RUN_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-PRINT_LOADED = "import json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+PRINT_MODULES = (
+    "import json, sys, types\n"
+    "print(json.dumps({name: type(module) is types.ModuleType\n"
+    "                  for name, module in sys.modules.items()}), file=sys.stderr)\n")
+LAZY = {"finite", "groups", "tables"}
 
 
-def modules_after(script: str) -> set[str]:
-    """Names of every module in sys.modules once `script` has run."""
-    proc = subprocess.run([sys.executable, "-c", script + "\n" + PRINT_LOADED],
+def modules_after(script: str) -> dict[str, bool]:
+    """Each module in sys.modules once `script` has run, and whether it was executed."""
+    proc = subprocess.run([sys.executable, "-c", script + "\n" + PRINT_MODULES],
                           capture_output=True, text=True, env=RUN_ENV, check=True)
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 def loaded_after(script: str) -> set[str]:
@@ -46,6 +56,59 @@ def test_group_command_loads_neither_arithmetic_nor_reference():
                           "assert main(['group', '--a', '2', '--b', '3', '--q', '5']) == 0")
     assert {"ring", "finite", "groups", "tables"} <= loaded
     assert not loaded & {"arithmetic", "reference", "oracle"}
+
+
+def main_script(*argv: str) -> str:
+    return f"from polyadic.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+ABQ = ("--a", "2", "--b", "3", "--q", "5")
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (("arity", "--a", "3", "--b", "4"), set()),
+    (("primes", "--a", "1", "--b", "2", "--kmax", "5"), set()),
+    (("finite", *ABQ), {"finite"}),
+    (("group", *ABQ), {"finite", "groups"}),
+    (("scan", "--bmax", "4", "--qmax", "4"), {"finite", "groups"}),
+    (("appendix", *ABQ), LAZY),
+    (("table", "--out", "{out}"), LAZY),
+], ids=["arity", "primes", "finite", "group", "scan", "appendix", "table-out"])
+def test_each_command_executes_only_the_modules_it_runs(argv, runs, tmp_path):
+    modules = modules_after(main_script(*[arg.format(out=tmp_path) for arg in argv]))
+    assert {name for name in LAZY if modules[f"polyadic.{name}"]} == runs
+    # csv is imported by the body of `tables` alone.
+    assert ("csv" in modules) == ("tables" in runs)
+
+
+def test_cli_uses_a_module_imported_before_it():
+    # One copy of each module: the CLI neither re-executes nor replaces it,
+    # so a patch of the module is what the commands call.
+    out = run_script(
+        "import types\n"
+        "import polyadic.finite as f\n"
+        "import polyadic.cli as c\n"
+        "assert c.finite is f and type(f) is types.ModuleType\n"
+        "seen = []\n"
+        "report = f.structure_report\n"
+        "f.structure_report = lambda fr: seen.append(fr.q) or report(fr)\n"
+        "assert c.main(['group', '--a', '2', '--b', '3', '--q', '5']) == 0\n"
+        "print(seen)\n")
+    assert out.endswith("[5]\n")
+
+
+def test_a_registered_module_is_the_one_later_imports_get():
+    out = run_script(
+        "import types\n"
+        "import polyadic.cli as c\n"
+        "import polyadic\n"
+        "assert type(c.__dict__['tables']) is not types.ModuleType\n"
+        "import polyadic.tables as t\n"
+        "from polyadic import groups\n"
+        "assert t is c.tables is polyadic.tables and groups is c.groups\n"
+        "assert t.grid_pairs is c.grid_pairs\n"
+        "print(type(t).__name__)\n")
+    assert out == "module\n"
 
 
 def test_ring_loads_only_errors_and_factor():
@@ -95,4 +158,4 @@ def test_unknown_name_raises_attribute_error():
 ], ids=["import-cli", "group", "table-out", "import-arithmetic"])
 def test_start_up_loads_neither_dataclasses_nor_inspect(script, tmp_path):
     loaded = modules_after(script.format(out=str(tmp_path)))
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded.keys() & {"dataclasses", "inspect"}
