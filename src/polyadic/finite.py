@@ -19,13 +19,14 @@ with the proof in its docstring, and none loops over the q indices:
 - the multiplicative querelements solve one linear congruence
   (`mult_querelements`).
 
-Only the outputs of size Θ(q) cost O(q): the units (`find_units`) and
-the order of every element.  Those orders come from `power_cycles`, one
-walk per cycle of powers: every index on a cycle reads its order off its
-position, and an index that has no order is recognised by a gcd test
-without a walk.  `structure_report` walks the cycles once and keeps them
-on the report, where `groups` reads them.  `to_json` is the one JSON
-writer of reports and group decompositions.  Nothing is cached.
+The units (`find_units`) and the order of every element cost O(q).
+Those orders come from `power_cycles`, one walk per cycle of powers:
+every index on a cycle reads its order off its position, and an index
+that has no order is recognised by a gcd test without a walk.
+`structure_report` walks the cycles once, O(q) even for the six lines
+of text `finite`, and keeps them on the report, where `groups` reads
+them.  `to_json` is the one JSON writer of reports and group
+decompositions.  Nothing is cached.
 
 `FiniteRing` and `StructureReport` are `typing.NamedTuple`s, not
 dataclasses, so that no process pays for importing `dataclasses` (see

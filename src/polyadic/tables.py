@@ -94,7 +94,7 @@ def _t2_cell(report: StructureReport) -> T2Cell:
     d = fr.ring
     if not report.is_field:
         return T2Cell(d.a, d.b, d.m, d.n, fr.q, False)
-    underline = d.n >= 3 and report.q_star >= d.n and (report.q_star - 1) % (d.n - 1) == 0
+    underline = d.n >= 3 and report.q_star >= d.n and report.n_admissible
     return T2Cell(
         d.a, d.b, d.m, d.n, fr.q,
         is_field=True,

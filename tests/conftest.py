@@ -1,7 +1,14 @@
+import os
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 ACCEPTANCE_RESULTS = []
+
+# The environment of every child interpreter the tests start: it imports
+# polyadic from wherever the test process does.
+RUN_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

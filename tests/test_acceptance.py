@@ -7,12 +7,11 @@ arithmetic, independent of the library paths) and requires the
 discrepancy to be visible in the generated deviations report.
 """
 
-import os
 import subprocess
 import sys
 from contextlib import contextmanager
 
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, RUN_ENV
 from polyadic import reference
 from polyadic.arithmetic import divide_with_remainder, euler_scan, polyadic_divide, prime_scan
 from polyadic.finite import (
@@ -385,9 +384,7 @@ def test_criterion_10_determinism(tmp_path):
         outputs = []
         scans = []
         for seed in (0, 1):
-            env = {**os.environ,
-                   "PYTHONPATH": os.pathsep.join(sys.path),
-                   "PYTHONHASHSEED": str(seed)}
+            env = {**RUN_ENV, "PYTHONHASHSEED": str(seed)}
             outdir = tmp_path / f"run{seed}"
             subprocess.run(
                 [sys.executable, "-m", "polyadic.cli", "table",

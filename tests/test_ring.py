@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import RUN_ENV
 from polyadic.errors import (
     ArityMismatchError,
     ClassMembershipError,
@@ -68,9 +68,8 @@ class TestArities:
                   "    RingDescriptor(3, 4, 2, 2, 0, 0)\n"
                   "except ValueError:\n"
                   "    print('rejected')\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-O", "-c", script],
-                             capture_output=True, text=True, env=env, check=True)
+                             capture_output=True, text=True, env=RUN_ENV, check=True)
         assert out.stdout == "rejected\n"
 
     def test_addition_arity_exceeds_multiplication_arity(self):
