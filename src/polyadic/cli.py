@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 forbidden residue pair, 3 not a field where a
 field is required, 4 bad arguments, 5 the --out path or stdout cannot be
-written (closed pipe, full disk).  Integers are printed in full however
-many digits they have, so J never fails for its size.
+written (closed pipe, full disk).  Integers are printed in full, J
+included; the size of J is not bounded yet (ROADMAP item 3).
 Output is deterministic for a given argv: scans classify one ring at a
 time in (b, a, q) order and write each line as soon as it is made, from
 one `finite.structure_report` and, on a field, one `groups.decompose`,

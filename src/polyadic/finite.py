@@ -409,6 +409,13 @@ def structure_report(fr: FiniteRing) -> StructureReport:
     cycle.  It first returns to place i when o | l*e_i, at
     l = o / gcd(o, e_i).  An index on several cycles gets the same order
     from each.
+
+    lambda_p, the largest order of a non-zero index, is defined when
+    q* >= 1 and every index has an order, and is then the length of the
+    longest cycle: w[0] has order len(w), as e_0 = 1, and every order on
+    w divides it.  The zero, its own first power, has order 1 and lies on
+    no cycle but its own one-element one, since a power that reaches the
+    zero stays there and never returns.
     """
     zero = find_zero(fr)
     n1 = fr.ring.n - 1
@@ -421,11 +428,8 @@ def structure_report(fr: FiniteRing) -> StructureReport:
             e += n1
     # A unit e has order 1, since mu[e^(n-1), e] = e: only those are tested.
     units = _units(fr, [k for k, o in enumerate(orders) if o == 1])
-    nonzero_orders = orders if zero is None else orders[:zero] + orders[zero + 1:]
-    lambda_p = None
-    if nonzero_orders and None not in nonzero_orders:
-        lambda_p = max(nonzero_orders)
     q_star = fr.q - 1 if zero is not None else fr.q
+    lambda_p = max(map(len, cycles)) if q_star >= 1 and None not in orders else None
     return StructureReport(
         ring=fr,
         zero=zero,

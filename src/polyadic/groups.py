@@ -147,16 +147,22 @@ def primitive_elements(report: StructureReport) -> tuple[frozenset[int], int]:
 def decompose(report: StructureReport) -> GroupDecomposition:
     """Collect the maximal cyclic subgroups and measure how they fit together.
 
-    Subgroups are generated by non-unit, non-zero elements; the units form
-    their own subgroup reported separately.  All flags are computed, never
-    assumed: disjointness and coverage may legitimately fail.  One loop
+    Subgroups are generated by non-unit, non-zero elements; the units,
+    `report.units`, form their own subgroup reported separately.  One loop
     over the report's cycles gives the subgroups and the reflections
-    (`_subgroups_and_reflections`).
+    (`_subgroups_and_reflections`).  Disjointness and the split of the
+    units off the subgroups may fail; coverage is counted, but holds on
+    every field.
+
+    Proof sketch.  Subgroups are slices of the cycles of non-zero
+    indices, and the zero lies on no other cycle (`finite.structure_report`).
+    A unit zero z would give x = mu[z^(n-1), x] = z for every x, so q = 1,
+    where a field has no zero.  So the subgroups and the units lie among
+    the q* non-zero indices, which they cover iff |union| plus the units
+    outside the union make q*.  They always do: each non-zero non-unit k
+    lies in the subgroup it generates, and that inside a maximal one.
     """
     _require_field(report)
-    units = set(report.units)
-    nonzero = set(report.ring.elements())
-    nonzero.discard(report.zero)
     candidates, refl = _subgroups_and_reflections(report)  # its order breaks ties below
     maximal = [g for g in candidates if not any(g < h for h in candidates)]
     subgroups = tuple(sorted((tuple(sorted(g)) for g in maximal), key=lambda g: g[0]))
@@ -165,9 +171,9 @@ def decompose(report: StructureReport) -> GroupDecomposition:
     return GroupDecomposition(
         ring=report.ring,
         subgroups=subgroups,
-        unit_subgroup=tuple(sorted(units)),
-        unit_subgroup_split=units.isdisjoint(union),
-        covers=union | units == nonzero,
+        unit_subgroup=report.units,  # ascending, as `finite.find_units` yields them
+        unit_subgroup_split=union.isdisjoint(report.units),
+        covers=len(union) + sum(e not in union for e in report.units) == report.q_star,
         pairwise_disjoint=len(union) == sum(map(len, subgroups)),
         primitive_elements=tuple(sorted(prim)),
         kappa_prim=kappa,

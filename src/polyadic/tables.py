@@ -234,6 +234,16 @@ def _rows(cells) -> Iterator[list]:
     return (list(row) for _, row in groupby(cells, key=lambda c: (c.b, c.a)))
 
 
+def _md_table(title: str, markers: str, columns, rows) -> str:
+    """Markdown table under a title and legend; a (cell, texts) row prints b, a, (m,n), texts."""
+    columns = ("b", "a", "(m,n)", *columns)
+    lines = [f"# {title}", "", f"Markers: {markers}", "",
+             "| " + " | ".join(columns) + " |", "|---" * len(columns) + "|"]
+    lines += [f"| {c.b} | {c.a} | ({c.m},{c.n}) | " + " | ".join(texts) + " |"
+              for c, texts in rows]
+    return "\n".join(lines) + "\n"
+
+
 def t2_to_json(cells: list[T2Cell] | list[T0Cell]) -> str:
     return _dump_json([cell._asdict() for cell in cells])
 
@@ -259,20 +269,12 @@ def _t2_cell_text(c: T2Cell) -> str:
 
 
 def t2_to_md(cells: list[T2Cell]) -> str:
-    lines = [
-        "# Idempotence orders of the finite polyadic fields",
-        "",
-        "Markers: `*` unit and zero present, `{Ke}` K units, trailing `_`"
+    return _md_table(
+        "Idempotence orders of the finite polyadic fields",
+        "`*` unit and zero present, `{Ke}` K units, trailing `_`"
         " n-admissible reduced order, `[zl-nu]` zeroless-nonunital, `-` not a field.",
-        "",
-        "| b | a | (m,n) | " + " | ".join(f"q={q}" for q in range(2, 11)) + " |",
-        "|---" * 12 + "|",
-    ]
-    for row in _rows(cells):
-        first = row[0]
-        lines.append(f"| {first.b} | {first.a} | ({first.m},{first.n}) | "
-                     + " | ".join(_t2_cell_text(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
+        [f"q={q}" for q in range(2, 11)],
+        ((row[0], map(_t2_cell_text, row)) for row in _rows(cells)))
 
 
 def t0_to_csv(cells: list[T0Cell]) -> str:
@@ -280,21 +282,13 @@ def t0_to_csv(cells: list[T0Cell]) -> str:
 
 
 def t0_to_md(cells: list[T0Cell]) -> str:
-    lines = [
-        "# Polyadic characteristics of rings with unit(s) and zero",
-        "",
-        "Markers: `(nf)` order does not give a field.",
-        "",
-        "| b | a | (m,n) | chi_p by order |",
-        "|---|---|---|---|",
-    ]
-    for row in _rows(cells):
-        first = row[0]
-        entries = ", ".join(
-            f"q={c.q}: {c.chi_p}" + ("" if c.is_field else " (nf)") for c in row
-        )
-        lines.append(f"| {first.b} | {first.a} | ({first.m},{first.n}) | {entries} |")
-    return "\n".join(lines) + "\n"
+    return _md_table(
+        "Polyadic characteristics of rings with unit(s) and zero",
+        "`(nf)` order does not give a field.",
+        ["chi_p by order"],
+        ((row[0], [", ".join(f"q={c.q}: {c.chi_p}" + ("" if c.is_field else " (nf)")
+                             for c in row)])
+         for row in _rows(cells)))
 
 
 def _t1_elements_text(cell: T1Cell) -> str:
@@ -317,29 +311,20 @@ def t1_to_csv(cells: list[T1Cell], orders: list[T1Orders]) -> str:
                    ((o.a, o.b, _t1_orders_text(o)) for o in orders)))
 
 
+def _t1_cell_text(c: T1Cell) -> str:
+    if not c.is_field:
+        return _t1_elements_text(c)
+    return _t1_elements_text(c) + (" [z+e]" if c.unit_and_zero else " [field]")
+
+
 def t1_to_md(cells: list[T1Cell], orders: list[T1Orders]) -> str:
-    lines = [
-        "# Contents of the small finite polyadic rings",
-        "",
-        "Markers: `_e` unit, `_z` zero, `[z+e]` field with unit and zero,"
+    return _md_table(
+        "Contents of the small finite polyadic rings",
+        "`_e` unit, `_z` zero, `[z+e]` field with unit and zero,"
         " `[field]` field without the pair, `*q*` field order with unit and zero.",
-        "",
-        "| b | a | (m,n) | q=2 | q=3 | q=4 | field orders 5..10 |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for row, line in zip(_rows(cells), orders):
-        texts = []
-        for c in row:
-            text = _t1_elements_text(c)
-            if c.unit_and_zero and c.is_field:
-                text += " [z+e]"
-            elif c.is_field:
-                text += " [field]"
-            texts.append(text)
-        first = row[0]
-        lines.append(f"| {first.b} | {first.a} | ({first.m},{first.n}) | " + " | ".join(texts)
-                     + f" | {_t1_orders_text(line)} |")
-    return "\n".join(lines) + "\n"
+        ["q=2", "q=3", "q=4", "field orders 5..10"],
+        ((row[0], [*map(_t1_cell_text, row), _t1_orders_text(line)])
+         for row, line in zip(_rows(cells), orders)))
 
 
 def appendix_to_md(listing: dict) -> str:

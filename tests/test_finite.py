@@ -21,7 +21,7 @@ from polyadic.finite import (
     structure_report,
 )
 from polyadic.oracle import proper_subfields
-from polyadic.ring import allowed_residues
+from polyadic.ring import allowed_residues, grid_pairs
 from conftest import scan_rings
 
 
@@ -237,6 +237,22 @@ class TestStructureReport:
         for fr in rings:
             report = structure_report(fr)
             assert report.q_star == 0 and report.n_admissible is False, fr
+
+    def test_idempotence_order_is_the_largest_non_zero_order(self):
+        # lambda_p is read off the longest cycle; its definition is the
+        # largest order of a non-zero element, undefined when one has none
+        # or when there is no non-zero element.  Every ring with b, q <= 40.
+        rings = [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(40)]
+                 for q in range(1, 41)]
+        assert len(rings) == 27320
+        defined = 0
+        for fr in rings:
+            report = structure_report(fr)
+            orders = [o for k, o in enumerate(report.element_orders) if k != report.zero]
+            lam = max(orders) if orders and None not in orders else None
+            assert report.lambda_p == lam, fr
+            defined += lam is not None
+        assert defined == 17995
 
     def test_fingerprints_separate_same_shape_rings(self):
         # same arities and order, structurally different rings

@@ -10,7 +10,10 @@ Every check runs in a fresh interpreter, since the test process may have
 imported any module already.
 """
 
+import ast
+import importlib
 import json
+import os
 import subprocess
 import sys
 
@@ -165,3 +168,17 @@ def interpreter_modules() -> set[str]:
 def test_start_up_loads_neither_dataclasses_nor_inspect(script, tmp_path, interpreter_modules):
     added = modules_after(script.format(out=str(tmp_path))).keys() - interpreter_modules
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_every_benchmark_span_names_a_function_of_its_module():
+    # The traced benchmark child wraps each name of its SPANS table in the
+    # module of that name; a renamed function would only fail a traced run.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "child.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"])
+    missing = [(name, attr) for name, attrs in spans.items() for attr in attrs
+               if not callable(getattr(importlib.import_module(f"polyadic.{name}"), attr, None))]
+    assert missing == [] and sum(map(len, spans.values())) == 36

@@ -178,7 +178,7 @@ class TestOraclePowers:
         # tuples; TestOracleZeroAndUnits checks it on a bounded grid).
         rings = [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(12)]
                  for q in range(1, 13)]
-        fields = 0
+        fields = overlapping = joined = 0
         for fr in rings:
             report = structure_report(fr)
             walks = [oracle_power_walk(fr, k) for k in fr.elements()]
@@ -220,7 +220,16 @@ class TestOraclePowers:
             prim = tuple(k for k in nonzero if orders[k] == report.q_star)
             assert dec.primitive_elements == prim, fr
             assert primitive_elements(report) == (frozenset(prim), len(prim)), fr
+            union = set().union(*maximal)
+            flags = (union | units == set(nonzero), len(union) == sum(map(len, maximal)),
+                     units.isdisjoint(union))
+            assert (dec.covers, dec.pairwise_disjoint, dec.unit_subgroup_split) == flags, fr
+            assert dec.covers, fr  # every field is covered (`decompose`)
+            assert dec.unit_subgroup == oracle_units(fr) and dec.kappa_prim == len(prim), fr
+            overlapping += not dec.pairwise_disjoint
+            joined += not dec.unit_subgroup_split
         assert len(rings) == 696 and fields == 354
+        assert (overlapping, joined) == (11, 235)  # both outcomes of both flags occur
 
 
 class TestOracleFactorisation:
