@@ -251,13 +251,9 @@ def is_field(fr: FiniteRing) -> bool:
     outside b.  At q = 1 the one element has a representative coprime to
     1, and the ring is a field iff that element is not the zero.
     """
-    return _is_field(fr, find_zero(fr))
-
-
-def _is_field(fr: FiniteRing, zero: Optional[int]) -> bool:
     a, b, q = fr.ring.a, fr.ring.b, fr.q
     if q == 1:
-        return zero is None
+        return find_zero(fr) is None
     if _coprime_part(q, b) == 1:  # every prime of q divides b
         return gcd(a, q) == 1
     return _is_binary_prime(q)  # a prime q here does not divide b
@@ -434,7 +430,7 @@ def structure_report(fr: FiniteRing) -> StructureReport:
         ring=fr,
         zero=zero,
         units=units,
-        is_field=_is_field(fr, zero),
+        is_field=is_field(fr),
         chi_p=_characteristic(fr, zero, units),
         lambda_p=lambda_p,
         element_orders=tuple(orders),

@@ -16,10 +16,12 @@ unit-plus-zero as a * prefix (or [z+e] on element lists), an
 n-admissible reduced order as a trailing _, and non-fields in the
 characteristic table as (nf).
 
-A deviation scanner compares the generated cells against the published
-reference tables and writes every difference, adjudicated or not, to
-deviations.md.  Only that scanner reads `reference`, so it alone imports
-that module, and no other command compiles its literals.
+A deviation scanner compares T2, T0 and T1 with the published reference
+tables by one rule and writes every difference, adjudicated or not, to
+deviations.md: a printed location whose computed value differs, a printed
+location with no computed value, and a computed location with no printed
+value.  Only that scanner reads `reference`, so it alone imports that
+module, and no other command compiles its literals.
 
 The cells (`T0Cell`, `T1Cell`, `T1Orders`, `T2Cell`) are
 `typing.NamedTuple`s, not dataclasses, so that no process pays for
@@ -141,6 +143,11 @@ class T1Cell(NamedTuple):
     elements: tuple[tuple[int, str], ...]  # (representative, "", "e" or "z")
     is_field: bool
     unit_and_zero: bool
+
+    @property
+    def frame(self) -> int:
+        """Printed frame level: 0 not a field, 1 field, 2 field with unit and zero."""
+        return 0 if not self.is_field else (2 if self.unit_and_zero else 1)
 
 
 class T1Orders(NamedTuple):
@@ -312,9 +319,7 @@ def t1_to_csv(cells: list[T1Cell], orders: list[T1Orders]) -> str:
 
 
 def _t1_cell_text(c: T1Cell) -> str:
-    if not c.is_field:
-        return _t1_elements_text(c)
-    return _t1_elements_text(c) + (" [z+e]" if c.unit_and_zero else " [field]")
+    return _t1_elements_text(c) + ("", " [field]", " [z+e]")[c.frame]
 
 
 def t1_to_md(cells: list[T1Cell], orders: list[T1Orders]) -> str:
@@ -362,64 +367,45 @@ def appendix_to_md(listing: dict) -> str:
 # ---------------------------------------------------------------- deviations
 
 def table_deviations(reports: Reports) -> list[tuple[str, tuple, str, str, str]]:
-    """Every cell where recomputation differs from the published reference.
+    """Every location where recomputation and the published reference differ.
 
-    Returns (table, location, printed, computed, note); the note is the
-    adjudication from reference.KNOWN_DEVIATIONS or a loud marker when a
-    difference has not been adjudicated yet.  `reports` is the grid of
-    `classify_grid`.
+    Returns (table, location, printed, computed, note) for T2, T0 and T1.
+    One rule compares each table's maps from location to text, one from
+    `reference` and one from its generator: a printed location whose
+    computed text differs (the table's missing text if none), in reference
+    order; then a computed location with no printed value, "entry absent",
+    by (a, b), then in generator order.  Unadjudicated notes read UNEXPECTED.
     """
     from . import reference
 
-    diffs = []
-
-    def note_for(table, loc):
-        return reference.KNOWN_DEVIATIONS.get(
-            (table, loc), "UNEXPECTED: not adjudicated, investigate before release"
-        )
-
-    t2 = {(c.a, c.b, c.q): c for c in generate_t2(reports)}
-    for (a, b), (_, cells) in sorted(reference.REFERENCE_T2.items()):
-        for q, printed in sorted(cells.items()):
-            got = t2[(a, b, q)].flags
-            if got != printed:
-                diffs.append(("T2", (a, b, q), str(printed), str(got),
-                              note_for("T2", (a, b, q))))
-
-    t0 = {(c.a, c.b, c.q): c for c in generate_t0(reports)}
-    seen = set()
-    for (a, b), entries in sorted(reference.REFERENCE_T0.items()):
-        for (q, chi, is_field_flag) in entries:
-            seen.add((a, b, q))
-            got = t0.get((a, b, q))
-            if got is None or (got.chi_p, got.is_field) != (chi, is_field_flag):
-                comp = "no unit or zero" if got is None else str((got.chi_p, got.is_field))
-                diffs.append(("T0", (a, b, q), str((chi, is_field_flag)), comp,
-                              note_for("T0", (a, b, q))))
-    for key in sorted(t0):
-        if key not in seen:
-            c = t0[key]
-            diffs.append(("T0", key, "entry absent", str((c.chi_p, c.is_field)),
-                          note_for("T0", key)))
-
+    printed1 = {}
+    for (a, b), entry in reference.REFERENCE_T1.items():
+        for q, (frame, els) in entry["cells"].items():
+            printed1[a, b, q] = f"frame={frame} {els}"
+        printed1[a, b, "orders"] = str(entry["orders"])
     cells1, orders1 = generate_t1(reports)
-    ref1 = reference.REFERENCE_T1
-    comp_cells = {(c.a, c.b, c.q): c for c in cells1}
-    comp_orders = {(o.a, o.b): o for o in orders1}
-    for (a, b), entry in sorted(ref1.items()):
-        for q, (frame, els) in sorted(entry["cells"].items()):
-            c = comp_cells[(a, b, q)]
-            comp_frame = 0 if not c.is_field else (2 if c.unit_and_zero else 1)
-            if els != c.elements or frame != comp_frame:
-                diffs.append(("T1", (a, b, q),
-                              f"frame={frame} {els}",
-                              f"frame={comp_frame} {c.elements}",
-                              note_for("T1", (a, b, q))))
-        if entry["orders"] != comp_orders[(a, b)].orders:
-            diffs.append(("T1", (a, b, "orders"),
-                          str(entry["orders"]), str(comp_orders[(a, b)].orders),
-                          note_for("T1", (a, b, "orders"))))
-    return diffs
+    computed1 = {(c.a, c.b, c.q): f"frame={c.frame} {c.elements}" for c in cells1}
+    computed1.update({(o.a, o.b, "orders"): str(o.orders) for o in orders1})
+    tables = (
+        ("T2", "not computed",
+         {(a, b, q): str(flags) for (a, b), (_, row) in reference.REFERENCE_T2.items()
+          for q, flags in row.items()},
+         {(c.a, c.b, c.q): str(c.flags) for c in generate_t2(reports)}),
+        ("T0", "no unit or zero",
+         {(a, b, q): str((chi, field)) for (a, b), entries in reference.REFERENCE_T0.items()
+          for q, chi, field in entries},
+         {(c.a, c.b, c.q): str((c.chi_p, c.is_field)) for c in generate_t0(reports)}),
+        ("T1", "not computed", printed1, computed1),
+    )
+    diffs = []
+    for table, missing, printed, computed in tables:
+        for loc, text in printed.items():
+            if computed.get(loc, missing) != text:
+                diffs.append((table, loc, text, computed.get(loc, missing)))
+        for loc in sorted((loc for loc in computed if loc not in printed), key=lambda loc: loc[:2]):
+            diffs.append((table, loc, "entry absent", computed[loc]))
+    unadjudicated = "UNEXPECTED: not adjudicated, investigate before release"
+    return [(*diff, reference.KNOWN_DEVIATIONS.get(diff[:2], unadjudicated)) for diff in diffs]
 
 
 def deviations_report(reports: Reports) -> str:

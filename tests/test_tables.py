@@ -1,3 +1,4 @@
+import copy
 import os
 import sys
 from types import SimpleNamespace
@@ -158,6 +159,43 @@ class TestDeviationScanner:
         assert {(table, loc) for table, loc, *_ in devs} == set(reference.KNOWN_DEVIATIONS)
         for *_, note in devs:
             assert not note.startswith("UNEXPECTED")
+
+    @pytest.mark.parametrize("table, name, edit, expected", [
+        ("T2", "REFERENCE_T2", lambda ref: ref[1, 2][1].pop(3),
+         ((1, 2, 3), "entry absent", "(2, 1, False, False, True)")),
+        ("T0", "REFERENCE_T0", lambda ref: ref[1, 2].remove((3, 1, True)),
+         ((1, 2, 3), "entry absent", "(1, True)")),
+        ("T1", "REFERENCE_T1", lambda ref: ref[1, 2]["cells"].pop(3),
+         ((1, 2, 3), "entry absent", "frame=2 ((1, 'e'), (3, 'z'), (5, ''))")),
+        ("T2", "REFERENCE_T2", lambda ref: ref[1, 2][1].update({11: (2, 1, False, False, False)}),
+         ((1, 2, 11), "(2, 1, False, False, False)", "not computed")),
+        ("T0", "REFERENCE_T0", lambda ref: ref[1, 2].append((11, 5, True)),
+         ((1, 2, 11), "(5, True)", "no unit or zero")),
+        ("T1", "REFERENCE_T1", lambda ref: ref[1, 2]["cells"].update({5: (1, ((1, "e"),))}),
+         ((1, 2, 5), "frame=1 ((1, 'e'),)", "not computed")),
+    ], ids=["T2-unprinted", "T0-unprinted", "T1-unprinted",
+            "T2-uncomputed", "T0-uncomputed", "T1-uncomputed"])
+    def test_one_rule_reports_a_location_on_one_side_only(
+            self, monkeypatch, grid_reports, table, name, edit, expected):
+        # A location computed but not printed reads "entry absent"; one printed
+        # outside the computed grid reads the table's missing text, not a KeyError.
+        before = table_deviations(grid_reports)
+        ref = copy.deepcopy(getattr(reference, name))
+        edit(ref)
+        monkeypatch.setattr(reference, name, ref)
+        after = table_deviations(grid_reports)
+        added = [d for d in after if d not in before]
+        assert added == [(table, *expected, "UNEXPECTED: not adjudicated, investigate before release")]
+        assert [d for d in after if d not in added] == before
+
+    def test_absent_locations_are_sorted_by_a_b_then_q(self, monkeypatch, grid_reports):
+        ref = copy.deepcopy(reference.REFERENCE_T1)
+        del ref[1, 4], ref[2, 3]  # the generator lists b = 3 before b = 4
+        monkeypatch.setattr(reference, "REFERENCE_T1", ref)
+        absent = [loc for table, loc, printed, *_ in table_deviations(grid_reports)
+                  if table == "T1" and printed == "entry absent"]
+        assert absent == [(1, 4, 2), (1, 4, 3), (1, 4, 4), (1, 4, "orders"),
+                          (2, 3, 2), (2, 3, 3), (2, 3, 4), (2, 3, "orders")]
 
     def test_report_covers_the_worked_examples(self, grid_reports):
         text = deviations_report(grid_reports)
