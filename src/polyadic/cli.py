@@ -249,6 +249,8 @@ def _cmd_scan(args) -> Iterator[str]:
         raise ValueError("bmax must be >= 1")
     if args.qmax < 2:
         raise ValueError("qmax must be >= 2")
+    if args.qmax > finite.WALK_Q_MAX:  # checked before the first line is written
+        raise ValueError(f"qmax must be <= {finite.WALK_Q_MAX}")
     rings = (make_descriptor(a, b) for a, b in grid_pairs(args.bmax))
     reports = (finite.structure_report(finite.FiniteRing(d, q))
                for d in rings for q in range(2, args.qmax + 1))

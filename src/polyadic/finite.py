@@ -20,12 +20,16 @@ with the proof in its docstring, and none loops over the q indices:
   (`mult_querelements`).
 
 The units (`find_units`) and the order of every element cost O(q).
-Those orders come from `power_cycles`, one walk per cycle of powers:
-every index on a cycle reads its order off its position, and an index
-that has no order is recognised by a gcd test without a walk.
-`structure_report` walks the cycles once, O(q) even for the six lines
-of text `finite`, and keeps them on the report, where `groups` reads
-them.  `to_json` is the one JSON writer of reports and group
+One `power_cycles` pass gives the cycles of powers and every order
+together, one walk per cycle: every index on a cycle reads its order off
+its position, and an index that has no order is recognised by a gcd test
+without a walk.  The characteristic is solved for one unit, since every
+unit gives the same one (`characteristic` proves it).
+`structure_report` makes that pass once, O(q) even for the six lines of
+text `finite`, and keeps the cycles on the report, where `groups` reads
+them.  The two O(q) loops, `power_cycles` and `find_units`, raise
+ValueError above `WALK_Q_MAX` before they allocate; the closed forms
+answer at any q.  `to_json` is the one JSON writer of reports and group
 decompositions.  Nothing is cached.
 
 `FiniteRing` and `StructureReport` are `typing.NamedTuple`s, not
@@ -49,6 +53,16 @@ REPORT_KEYS = (
     "units", "kappa_e", "is_field", "chi_p", "lambda_p", "zeroless",
     "nonunital", "element_orders",
 )
+
+
+# The largest order whose q indices are walked or tested one by one
+# (`power_cycles`, `find_units`).  Text `finite` took 110 MB at q = 10^6.
+WALK_Q_MAX = 10**7
+
+
+def _check_walk(q: int) -> None:
+    if q > WALK_Q_MAX:
+        raise ValueError(f"q = {q} is above {WALK_Q_MAX}, the largest order walked index by index")
 
 
 class _FiniteFields(NamedTuple):
@@ -180,7 +194,10 @@ def find_units(fr: FiniteRing) -> tuple[int, ...]:
     difference of k = 1 and k = 0 gives b*q | u*b, that is q | u, which
     holds trivially for q = 1.  Conversely, q | u makes u*b*k vanish
     modulo b*q for every k, leaving the k = 0 condition.
+
+    It tests every index, so above `WALK_Q_MAX` it raises ValueError.
     """
+    _check_walk(fr.q)
     return _units(fr, range(fr.q))
 
 
@@ -259,13 +276,17 @@ def is_field(fr: FiniteRing) -> bool:
     return _is_binary_prime(q)  # a prime q here does not divide b
 
 
-def power_cycles(fr: FiniteRing) -> tuple[tuple[int, ...], ...]:
-    """Cycles of multiplicative powers that hold every index with an order.
+def power_cycles(fr: FiniteRing) -> tuple[tuple[tuple[int, ...], ...], list[Optional[int]]]:
+    """Cycles of multiplicative powers, and every index's order, from one pass.
 
-    Indices are taken in increasing order; one that lies on no earlier
-    cycle and has an order starts a new cycle w, where w[i] is the i-th
-    power of w[0] and len(w) is the order o of w[0].  Each cycle costs one
-    walk of o steps, and every index with an order lies on some cycle.
+    Returns (cycles, orders).  Indices are taken in increasing order; one
+    that lies on no earlier cycle and has an order starts a new cycle w,
+    where w[i] is the i-th power of w[0] and len(w) is the order o of
+    w[0].  Each cycle costs one walk of o steps, and every index with an
+    order lies on some cycle.  On w, w[i] has order o / gcd(o, 1 + i(n-1)),
+    written to orders[w[i]] as the walk ends; an index on no cycle keeps
+    None.  So orders is also the marker of the indices already on a
+    cycle.  Above `WALK_Q_MAX` it raises ValueError before it allocates.
 
     Proof sketch.  Let r = rep(k), M = b*q, g = gcd(r, M) and h = M/g.
     The l-th power of k has representative r^(1+l(n-1)) mod M.  It is k
@@ -277,27 +298,39 @@ def power_cycles(fr: FiniteRing) -> tuple[tuple[int, ...], ...]:
     not dividing h divides r at least as often as M, so gcd(rep w[i], M)
     = g.  Every index on the cycle thus has the same h and an order too,
     and an index without one is on no cycle.
+
+    The orders.  Each power of w[0] is the previous one times
+    rep(w[0])^(n-1), and the o-th is w[0], so the j-th is w[j mod o].  With
+    e_i = 1 + i(n-1), the l-th power of w[i] has exponent
+    e_i*(1 + l(n-1)) = 1 + (i + l*e_i)(n-1) of rep(w[0]), so it is
+    w[(i + l*e_i) mod o]: powering w[i] steps e_i places round the
+    cycle.  It first returns to place i when o | l*e_i, at
+    l = o / gcd(o, e_i).  An index on several cycles gets the same order
+    from each, and w[0] has order o, as e_0 = 1, which every order on w
+    divides.
     """
-    a, b, n, mod = fr.ring.a, fr.ring.b, fr.ring.n, fr.modulus
-    on_cycle = bytearray(fr.q)
+    _check_walk(fr.q)
+    a, b, n1, mod = fr.ring.a, fr.ring.b, fr.ring.n - 1, fr.modulus
+    orders: list[Optional[int]] = [None] * fr.q
     cycles = []
     for k in range(fr.q):
-        if on_cycle[k]:
+        if orders[k]:  # an order >= 1 was written: k is on a cycle
             continue
         r = a + b * k
         if gcd(r, mod // gcd(r, mod)) != 1:
             continue
-        step = pow(r, n - 1, mod)
-        on_cycle[k] = 1
+        step = pow(r, n1, mod)
         cycle = [k]
         v = r * step % mod
         while v != r:
-            x = (v - a) // b
-            on_cycle[x] = 1
-            cycle.append(x)
+            cycle.append((v - a) // b)
             v = v * step % mod
+        o, e = len(cycle), 1  # e = 1 + i(n-1) at place i
+        for x in cycle:
+            orders[x] = o // gcd(o, e)
+            e += n1
         cycles.append(tuple(cycle))
-    return tuple(cycles)
+    return tuple(cycles), orders
 
 
 def element_order(fr: FiniteRing, k: int) -> int:
@@ -329,22 +362,26 @@ def element_order(fr: FiniteRing, k: int) -> int:
 
 
 def characteristic(fr: FiniteRing) -> Optional[int]:
-    """Least l >= 1 with the l-th additive power of the unit at the zero.
+    """Least l >= 1 with the l-th additive power of a unit at the zero.
 
-    Defined only when both a unit and the zero exist; with several units
-    they must agree, anything else would be an internal inconsistency
-    and raises ValueError.
-
-    For a unit e it is the least l >= 1 solving the linear congruence
+    Defined only when both a unit and the zero exist, and then the same
+    for every unit, so it is solved for the first unit e alone: the least
+    l >= 1 solving the linear congruence
     l*(m-1)*rep(e) = rep(z) - rep(e) (mod b*q).
 
-    Proof sketch.  The l-th additive power of e sums l*(m-1) + 1 copies of
-    rep(e), which gives the congruence.  With c = (m-1)*rep(e) and
-    g = gcd(c, b*q), it is solvable iff g | rep(z) - rep(e), and its
+    Proof sketch.  The l-th additive power of e sums N = l*(m-1) + 1
+    copies of rep(e), which gives the congruence.  With c = (m-1)*rep(e)
+    and g = gcd(c, b*q), it is solvable iff g | rep(z) - rep(e), and its
     solutions are then one residue class modulo b*q/g.  Since
     (m-1)*a = 0 (mod b) defines m, b divides c and so g, and the period
     b*q/g is at most q: the least solution is the one a direct search
     over l <= q would find.
+
+    Every unit gives the same l.  Let u and u' be the representatives of
+    two units and z that of the zero.  If N*u = z (mod b*q), multiply both
+    sides by u^(n-2)*u', a product of n-1 representatives.  The left side
+    becomes N*u', since u is a unit, and the right side stays z, since
+    the zero absorbs.  So N*u' = z too, and by symmetry the converse.
     """
     return _characteristic(fr, find_zero(fr), find_units(fr))
 
@@ -353,16 +390,9 @@ def _characteristic(fr: FiniteRing, zero: Optional[int],
                     units: tuple[int, ...]) -> Optional[int]:
     if zero is None or not units:
         return None
-    values = {_least_additive_steps(fr, e, zero) for e in units}
-    if len(values) != 1:
-        raise ValueError(f"units disagree on the characteristic: {values}")
-    return values.pop()
-
-
-def _least_additive_steps(fr: FiniteRing, e: int, zero: int) -> Optional[int]:
-    b, mod = fr.ring.b, fr.modulus
-    c = (fr.ring.m - 1) * (fr.ring.a + b * e) % mod
-    solutions = _congruence(c, b * (zero - e), mod)  # rep(zero) - rep(e)
+    e, mod = units[0], fr.modulus
+    c = (fr.ring.m - 1) * fr.rep(e) % mod
+    solutions = _congruence(c, fr.ring.b * (zero - e), mod)  # rep(zero) - rep(e)
     return (solutions[0] or solutions.step) if solutions else None
 
 
@@ -394,34 +424,16 @@ class StructureReport(NamedTuple):
 def structure_report(fr: FiniteRing) -> StructureReport:
     """Full classification of one finite ring, one power walk per cycle.
 
-    On a cycle w of `power_cycles` of length o, w[i] has order
-    o / gcd(o, 1 + i(n-1)); indices on no cycle have none.
-
-    Proof sketch.  Each power of w[0] is the previous one times
-    rep(w[0])^(n-1), and the o-th is w[0], so the j-th is w[j mod o].  With
-    e_i = 1 + i(n-1), the l-th power of w[i] has exponent
-    e_i*(1 + l(n-1)) = 1 + (i + l*e_i)(n-1) of rep(w[0]), so it is
-    w[(i + l*e_i) mod o]: powering w[i] steps e_i places round the
-    cycle.  It first returns to place i when o | l*e_i, at
-    l = o / gcd(o, e_i).  An index on several cycles gets the same order
-    from each.
-
+    The cycles and every index's order come from one `power_cycles` pass.
     lambda_p, the largest order of a non-zero index, is defined when
     q* >= 1 and every index has an order, and is then the length of the
-    longest cycle: w[0] has order len(w), as e_0 = 1, and every order on
-    w divides it.  The zero, its own first power, has order 1 and lies on
+    longest cycle, since every order on a cycle divides its first one,
+    its length.  The zero, its own first power, has order 1 and lies on
     no cycle but its own one-element one, since a power that reaches the
     zero stays there and never returns.
     """
     zero = find_zero(fr)
-    n1 = fr.ring.n - 1
-    cycles = power_cycles(fr)
-    orders: list[Optional[int]] = [None] * fr.q
-    for cycle in cycles:
-        o, e = len(cycle), 1  # e = 1 + i(n-1) at place i
-        for x in cycle:
-            orders[x] = o // gcd(o, e)
-            e += n1
+    cycles, orders = power_cycles(fr)
     # A unit e has order 1, since mu[e^(n-1), e] = e: only those are tested.
     units = _units(fr, [k for k, o in enumerate(orders) if o == 1])
     q_star = fr.q - 1 if zero is not None else fr.q
@@ -436,7 +448,7 @@ def structure_report(fr: FiniteRing) -> StructureReport:
         element_orders=tuple(orders),
         q_star=q_star,
         # A word has length >= 1 (`ring._fold`), so q* = 0 is never admissible.
-        n_admissible=q_star >= 1 and (q_star - 1) % n1 == 0,
+        n_admissible=q_star >= 1 and (q_star - 1) % (fr.ring.n - 1) == 0,
         zeroless=zero is None,
         nonunital=not units,
         cycles=cycles,

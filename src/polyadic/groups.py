@@ -10,8 +10,10 @@ powers that `finite.structure_report` walked once and kept in
 cycle, built once per distinct slice, and its reflection solves a linear
 congruence.  An element without an order, which no field has, never
 reaches a unit (`_subgroups_and_reflections` proves it), so it needs no
-walk either.  The cost is that of reading the cycles, Θ(q) like the
-output of `decompose`.  Nothing is cached.
+walk either.  The three flags of `decompose` (the split, the cover and
+disjointness) come from proofs in its docstring, so no set of covered
+indices is built.  The cost is that of reading the cycles, Θ(q) like
+the output of `decompose`.  Nothing is cached.
 
 `GroupDecomposition` is a `typing.NamedTuple`, not a dataclass, so that
 no process pays for importing `dataclasses` (see `ring`): it iterates,
@@ -58,8 +60,8 @@ def cyclic_subgroup(report: StructureReport, k: int) -> frozenset[int]:
     return frozenset(cycle[cycle.index(k) % g::g])
 
 
-def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, int]]:
-    """The subgroups the non-units generate, and their reflections, in one loop.
+def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, int], set]:
+    """The non-units' subgroups, their reflections and the units they reach, in one loop.
 
     Every element k that is neither a unit nor the zero is taken in index
     order, at its place i on the last cycle w of `report.cycles` that
@@ -69,10 +71,10 @@ def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, 
     - k generates the slice w[j::g] with j = i mod g, built once per (w, g, j).
     - With a unit at place t of w, k reaches a unit first after
       l = (t - i)/g * (e_i/g)^-1 modulo o/g = ord(k) powers if g | t - i,
-      and never otherwise.
+      and never otherwise; that unit is then reached.
 
     Proof sketch.  The l-th power of w[i] is w[(i + l*e_i) mod o] with
-    e_i = 1 + i(n-1) (`finite.structure_report`).  As l runs over the
+    e_i = 1 + i(n-1) (`finite.power_cycles`).  As l runs over the
     integers, l*e_i runs over the multiples of g modulo o, so the powers
     are exactly the places congruent to i modulo g.  Every power of k
     lies on w, so only units on w can be reached, and a cycle holds at
@@ -103,8 +105,7 @@ def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, 
     cycle_of, place, unit_place = [-1] * q, [0] * q, [-1] * len(cycles)
     for c, cycle in enumerate(cycles):
         for i, x in enumerate(cycle):
-            cycle_of[x] = c
-            place[x] = i
+            cycle_of[x], place[x] = c, i
             if x in units:
                 unit_place[c] = i
     # The iteration order of `candidates` breaks ties between subgroups
@@ -112,7 +113,7 @@ def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, 
     # of the output bytes until that sort uses the whole tuple.  Keep it:
     # add each subgroup once, in order of its first generator.  Building the
     # set at once from a dict pre-sizes its table and reorders the ties.
-    candidates, built, refl = set(), set(), {}
+    candidates, built, refl, reached = set(), set(), {}, set()
     for k in range(q):
         c = cycle_of[k]
         if k in units or k == zero or c < 0:  # c < 0: k has no order
@@ -125,7 +126,8 @@ def _subgroups_and_reflections(report: StructureReport) -> tuple[set, dict[int, 
             candidates.add(frozenset(cycle[i % g::g]))
         if t >= 0 and (t - i) % g == 0:
             refl[k] = (t - i) // g * pow((1 + i * n1) // g, -1, o) % o
-    return candidates, refl
+            reached.add(cycle[t])
+    return candidates, refl, reached
 
 
 def reflections(report: StructureReport) -> dict[int, int]:
@@ -149,32 +151,38 @@ def decompose(report: StructureReport) -> GroupDecomposition:
 
     Subgroups are generated by non-unit, non-zero elements; the units,
     `report.units`, form their own subgroup reported separately.  One loop
-    over the report's cycles gives the subgroups and the reflections
-    (`_subgroups_and_reflections`).  Disjointness and the split of the
-    units off the subgroups may fail; coverage is counted, but holds on
-    every field.
+    over the report's cycles gives the subgroups, the reflections and the
+    units that some non-unit reaches (`_subgroups_and_reflections`).  The
+    three flags come from proofs, and no set of covered indices is built:
+    the units split off the subgroups iff no element has a reflection;
+    the subgroups and the units always cover the non-zero elements; and
+    the subgroups are pairwise disjoint iff their sizes sum to
+    q* - kappa_e + |reached|, the size of their union.
 
     Proof sketch.  Subgroups are slices of the cycles of non-zero
     indices, and the zero lies on no other cycle (`finite.structure_report`).
     A unit zero z would give x = mu[z^(n-1), x] = z for every x, so q = 1,
     where a field has no zero.  So the subgroups and the units lie among
-    the q* non-zero indices, which they cover iff |union| plus the units
-    outside the union make q*.  They always do: each non-zero non-unit k
-    lies in the subgroup it generates, and that inside a maximal one.
+    the q* non-zero indices.  Each non-zero non-unit k lies in the
+    subgroup it generates, and that inside a maximal one, so they cover.
+    The subgroup k generates is the set of its powers, so a unit lies in
+    some subgroup, and then in a maximal one, exactly when a power of
+    some non-unit reaches it.  The union of the subgroups is thus the
+    q* - kappa_e non-units and the units reached, and the subgroups are
+    pairwise disjoint iff their sizes add up to its size.
     """
     _require_field(report)
-    candidates, refl = _subgroups_and_reflections(report)  # its order breaks ties below
+    candidates, refl, reached = _subgroups_and_reflections(report)  # its order breaks ties below
     maximal = [g for g in candidates if not any(g < h for h in candidates)]
     subgroups = tuple(sorted((tuple(sorted(g)) for g in maximal), key=lambda g: g[0]))
-    union = set().union(*subgroups)
     prim, kappa = primitive_elements(report)
     return GroupDecomposition(
         ring=report.ring,
         subgroups=subgroups,
         unit_subgroup=report.units,  # ascending, as `finite.find_units` yields them
-        unit_subgroup_split=union.isdisjoint(report.units),
-        covers=len(union) + sum(e not in union for e in report.units) == report.q_star,
-        pairwise_disjoint=len(union) == sum(map(len, subgroups)),
+        unit_subgroup_split=not refl,
+        covers=True,
+        pairwise_disjoint=sum(map(len, subgroups)) == report.q_star - report.kappa_e + len(reached),
         primitive_elements=tuple(sorted(prim)),
         kappa_prim=kappa,
         reflections=tuple(sorted(refl.items())),

@@ -372,9 +372,12 @@ def table_deviations(reports: Reports) -> list[tuple[str, tuple, str, str, str]]
     Returns (table, location, printed, computed, note) for T2, T0 and T1.
     One rule compares each table's maps from location to text, one from
     `reference` and one from its generator: a printed location whose
-    computed text differs (the table's missing text if none), in reference
-    order; then a computed location with no printed value, "entry absent",
-    by (a, b), then in generator order.  Unadjudicated notes read UNEXPECTED.
+    computed text differs, in reference order; then a computed location
+    with no printed value, "entry absent", by (a, b), then in generator
+    order.  A printed location with no computed text reads "no unit or
+    zero" in T0 where the ring was classified (b <= 6, in the grid of
+    `classify_grid`), and "not computed" elsewhere.  Unadjudicated notes
+    read UNEXPECTED.
     """
     from . import reference
 
@@ -387,19 +390,22 @@ def table_deviations(reports: Reports) -> list[tuple[str, tuple, str, str, str]]
     computed1 = {(c.a, c.b, c.q): f"frame={c.frame} {c.elements}" for c in cells1}
     computed1.update({(o.a, o.b, "orders"): str(o.orders) for o in orders1})
     tables = (
-        ("T2", "not computed",
+        ("T2",
          {(a, b, q): str(flags) for (a, b), (_, row) in reference.REFERENCE_T2.items()
           for q, flags in row.items()},
          {(c.a, c.b, c.q): str(c.flags) for c in generate_t2(reports)}),
-        ("T0", "no unit or zero",
+        ("T0",
          {(a, b, q): str((chi, field)) for (a, b), entries in reference.REFERENCE_T0.items()
           for q, chi, field in entries},
          {(c.a, c.b, c.q): str((c.chi_p, c.is_field)) for c in generate_t0(reports)}),
-        ("T1", "not computed", printed1, computed1),
+        ("T1", printed1, computed1),
     )
     diffs = []
-    for table, missing, printed, computed in tables:
+    for table, printed, computed in tables:
         for loc, text in printed.items():
+            # T0 leaves out a classified ring that lacks a unit or the zero.
+            t0_classified = table == "T0" and loc in reports and loc[1] <= T0_T1_B_MAX
+            missing = "no unit or zero" if t0_classified else "not computed"
             if computed.get(loc, missing) != text:
                 diffs.append((table, loc, text, computed.get(loc, missing)))
         for loc in sorted((loc for loc in computed if loc not in printed), key=lambda loc: loc[:2]):

@@ -96,6 +96,14 @@ ROWS = {
     "group-16001": Row(
         cli("group", "--a", "1", "--b", "2", "--q", "16001"), 0, 20,
         sha256="d15349a2c9f7b29cb49c41ce6d5868fde3a8afc9d6b0cafbf5f6790040b724de"),
+    # Text finite and group walk the q indices.  Above the walk bound they
+    # exit 4 before they allocate; a bytearray(q) used to end in a
+    # MemoryError or OverflowError traceback.
+    **{f"{command}-q{q}": Row(
+        cli(command, "--a", "1", "--b", "2", "--q", str(q)), 4, 2, stdout="", rss_mb=50,
+        stderr=f"error: q = {q} is above 10000000, the largest order walked index by index\n")
+       for command, q in (("finite", 10**10), ("finite", 2**61 - 1), ("finite", 10**20),
+                          ("group", 10**10))},
     # Any loop over the q indices would never finish at these orders.
     "huge-rings": Row(
         ("-c", HUGE_RINGS), 0, 20,

@@ -137,6 +137,26 @@ class TestCharacteristic:
         for q in (2, 3, 5, 7):
             assert characteristic(finite_ring(0, 1, q)) == q - 1
 
+    def test_every_unit_reaches_the_zero_in_chi_p_steps(self):
+        # chi_p is solved for the first unit only; characteristic proves that
+        # every unit gives the same value.  Here each unit finds its own
+        # least l by adding, with no congruence.
+        rings = 0
+        for fr in scan_rings(12, 12):
+            report = structure_report(fr)
+            if report.zero is None or len(report.units) < 2:
+                continue
+            rings += 1
+            for e in report.units:
+                x, least = e, None
+                for l in range(1, fr.q + 1):  # the sums repeat with a period dividing q
+                    x = k_add(fr, [x] + [e] * (fr.ring.m - 1))
+                    if x == report.zero:
+                        least = l
+                        break
+                assert least == report.chi_p, (fr, e)
+        assert rings > 0
+
 
 class TestElementOrders:
     def test_published_orders(self):

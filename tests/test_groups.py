@@ -111,16 +111,17 @@ class TestOneWalkPerCycle:
     def test_report_and_groups_walk_each_cycle_once(self, monkeypatch):
         # power_cycles walks each cycle once, starting only at an index with
         # an order that no earlier cycle holds, and stopping at its first
-        # return.  The report keeps the cycles, and groups never walks them
-        # again.  No per-element walk is left to count: one-element
-        # questions are closed forms.
+        # return; the same pass gives every order.  The report keeps the
+        # cycles and the orders, and groups never walks them again.  No
+        # per-element walk is left to count: one-element questions are
+        # closed forms.
         cycle_calls = []
         cycles_of = polyadic.finite.power_cycles
 
         def counting_cycles(fr):
-            cycles = cycles_of(fr)
-            cycle_calls.append(cycles)
-            return cycles
+            cycles, orders = cycles_of(fr)
+            cycle_calls.append((cycles, orders))
+            return cycles, orders
 
         # Every module that binds the walk, so a by-name import is counted too.
         for module in list(sys.modules.values()):
@@ -133,8 +134,8 @@ class TestOneWalkPerCycle:
             cycle_calls.clear()
             report = structure_report(fr)
             assert len(cycle_calls) == 1, fr
-            cycles = cycle_calls[0]
-            assert report.cycles == cycles, fr
+            cycles, orders = cycle_calls[0]
+            assert report.cycles == cycles and report.element_orders == tuple(orders), fr
             seen = set()
             for cycle in cycles:
                 assert cycle[0] not in seen and len(set(cycle)) == len(cycle), fr

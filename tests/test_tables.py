@@ -170,7 +170,7 @@ class TestDeviationScanner:
         ("T2", "REFERENCE_T2", lambda ref: ref[1, 2][1].update({11: (2, 1, False, False, False)}),
          ((1, 2, 11), "(2, 1, False, False, False)", "not computed")),
         ("T0", "REFERENCE_T0", lambda ref: ref[1, 2].append((11, 5, True)),
-         ((1, 2, 11), "(5, True)", "no unit or zero")),
+         ((1, 2, 11), "(5, True)", "not computed")),
         ("T1", "REFERENCE_T1", lambda ref: ref[1, 2]["cells"].update({5: (1, ((1, "e"),))}),
          ((1, 2, 5), "frame=1 ((1, 'e'),)", "not computed")),
     ], ids=["T2-unprinted", "T0-unprinted", "T1-unprinted",
