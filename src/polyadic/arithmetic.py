@@ -4,9 +4,13 @@ Irreducibility, composition sets, polyadic primes and their gaps, prime
 counting, exact division (with and without remainder), coprimality, and
 the polyadic totient scan.  Everything works on exact integers.  Every
 factor search goes through one factorisation primitive,
-`factor._prime_factors`: a value is factored once into the sorted list of
-its class factors, and one multiset search over that list answers both
-`is_composite` and `decompositions`.  `divide_with_remainder` yields its
+`factor._prime_factors`, and one search, `_decomposition_values`,
+answers both `is_composite` and `decompositions`: a value is factored
+once into the sorted list of its class factors, and one multiset search
+runs over that list.  Exact division takes one exact root by Newton's
+step on integers (`_iroot`, proved in its docstring), and its quotients
+are that root and, for even n - 1, its negative, kept if they lie in
+the class.  `divide_with_remainder` yields its
 pairs in increasing quotient index from a generator, so its memory does
 not grow with the search radius.
 """
@@ -109,44 +113,56 @@ def _multisets(factors: list[int], members: set[int], target: int, slots: int,
                 yield (f,) + rest
 
 
+def _decomposition_values(ring: RingDescriptor, v: int,
+                          depth: int) -> Iterator[tuple[int, ...]]:
+    """Value tuples of the decompositions of v, of lengths l*(n-1)+1 for l = 1..depth.
+
+    The one search behind `decompositions` and `is_composite`, in their
+    order: by length, then as `_multisets` yields the tuples.  For v = 0 it
+    yields one witness, as 0 times anything stays 0.  Otherwise v is
+    factored once into its class factors, unless no length fits: no
+    product of 2^slots > |v| factors of size >= 2 equals v, so l stops at
+    the first such length, whatever the depth, and for |v| < 2^n nothing
+    is searched at all.
+    """
+    if v == 0:
+        # One canonical non-unit witness is enough.
+        other = next(ring.a + ring.b * k for k in (1, -1, 2, -2, 3, -3)
+                     if abs(ring.a + ring.b * k) >= 2)
+        yield (0, *[other] * (ring.n - 1))
+        return
+    # 2^slots <= |v| holds exactly for slots < bit_length(|v|).
+    top = min(depth, (abs(v).bit_length() - 2) // (ring.n - 1))
+    if top < 1:
+        return
+    factors = _class_factors(ring, v)
+    members = set(factors)
+    for l in range(1, top + 1):
+        yield from _multisets(factors, members, v, l * (ring.n - 1) + 1)
+
+
 def decompositions(x: PolyInt, depth: int = _DEFAULT_DEPTH) -> list[tuple[PolyInt, ...]]:
     """All factor multisets with admissible length l*(n-1)+1 for l = 1..depth.
 
     Factors are class members with |value| >= 2 (units never appear), so
-    the trivial unit-padded expansion is excluded by construction.  x is
-    factored once into its class factors.  No product of 2^slots > |x|
-    factors of size >= 2 equals x, so l stops at the first such length,
-    whatever the depth.
+    the trivial unit-padded expansion is excluded by construction.  The
+    search is `_decomposition_values`.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    ring, v = x.ring, x.value
-    if v == 0:
-        # 0 times anything stays 0; one canonical non-unit witness is enough.
-        other = next(ring.a + ring.b * k for k in (1, -1, 2, -2, 3, -3)
-                     if abs(ring.a + ring.b * k) >= 2)
-        return [(x, *[ring.from_value(other)] * (ring.n - 1))]
-    factors = _class_factors(ring, v)
-    members = set(factors)
-    # 2^slots <= |v| holds exactly for slots < bit_length(|v|).
-    top = min(depth, (abs(v).bit_length() - 2) // (ring.n - 1))
-    return [tuple(ring.from_value(f) for f in values) for l in range(1, top + 1)
-            for values in _multisets(factors, members, v, l * (ring.n - 1) + 1)]
+    ring = x.ring
+    return [tuple(map(ring.from_value, values))
+            for values in _decomposition_values(ring, x.value, depth)]
 
 
 def is_composite(x: PolyInt) -> bool:
     """True when x splits into one admissible product of class factors.
 
     Any longer decomposition collapses to a single-multiplication one by
-    grouping, so only l = 1 needs checking.
+    grouping, so only l = 1 needs checking: the search of
+    `decompositions` at depth 1 yields something.
     """
-    v = x.value
-    if v == 0:
-        return True
-    if abs(v).bit_length() <= x.ring.n:  # |v| < 2^n
-        return False
-    factors = _class_factors(x.ring, v)
-    return next(_multisets(factors, set(factors), v, x.ring.n), None) is not None
+    return next(_decomposition_values(x.ring, x.value, 1), None) is not None
 
 
 def is_irreducible(x: PolyInt) -> bool:
@@ -214,7 +230,20 @@ def prime_scan(ring: RingDescriptor, k_max: int) -> PrimeScan:
 
 
 def _iroot(r: int, k: int) -> Optional[int]:
-    # Exact integer k-th root of r, or None; k >= 1, negative r only for odd k.
+    """Exact integer k-th root of r, or None; k >= 1, negative r only for odd k.
+
+    Newton's step on integers.  It starts at x = 2^ceil(bits(r)/k), above
+    r^(1/k) as r < 2^bits(r), and repeats
+    x <- ((k-1)*x + r // x^(k-1)) // k while x decreases.  By AM-GM,
+    ((k-1)*x + r/x^(k-1))/k >= r^(1/k), and the inner floor does not
+    change the outer one, so the step never drops below s = floor(r^(1/k)).
+    While x > s, x^k > r, so r/x^(k-1) < x and the step is below x: it
+    strictly decreases.  At x = s it does not, so the loop stops at s.
+    The start is at most 2*r^(1/k), as r >= 2^(bits(r)-1).  Above r^(1/k)
+    the step's derivative lies in [0, (k-1)/k), so each step shrinks
+    x - r^(1/k) by that factor at least, and near the root the step
+    converges quadratically: O(k + log bits(r)) steps in all.
+    """
     if k == 1:
         return r
     if r < 0:
@@ -224,23 +253,19 @@ def _iroot(r: int, k: int) -> Optional[int]:
         return -s if s is not None else None
     if r in (0, 1):
         return r
-    lo, hi = 1, 1
-    while hi**k < r:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < r:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == r else None
+    x = 1 << -(-r.bit_length() // k)
+    while (y := ((k - 1) * x + r // x ** (k - 1)) // k) < x:
+        x = y
+    return x if x**k == r else None
 
 
 def polyadic_divide(x1: PolyInt, x2: PolyInt) -> Optional[PolyInt]:
     """The unique q with x1 = mu[x2, q^(n-1)], None when no q exists.
 
     Uniqueness is part of the definition, so two candidates raise
-    NonUniqueQuotientError instead of picking one.
+    NonUniqueQuotientError instead of picking one.  `_iroot` is exact and
+    (-r)^e = r^e for even e, so the quotients are its root r, and -r too
+    when e is even, that lie in the class.
     """
     ring = x1.ring
     if ring != x2.ring:
@@ -252,14 +277,12 @@ def polyadic_divide(x1: PolyInt, x2: PolyInt) -> Optional[PolyInt]:
         raise NonUniqueQuotientError(["every class member divides zero"])
     if x1.value % x2.value != 0:
         return None
-    ratio = x1.value // x2.value
-    root = _iroot(ratio, e)
-    candidates = set()
-    if root is not None:
-        candidates.add(root)
-        if e % 2 == 0:
-            candidates.add(-root)
-    hits = sorted(c for c in candidates if ring.contains(c) and c**e == ratio)
+    root = _iroot(x1.value // x2.value, e)
+    if root is None:
+        return None
+    # root >= 0 for even e, so -root comes first.
+    hits = [c for c in ((-root, root) if e % 2 == 0 and root else (root,))
+            if ring.contains(c)]
     if not hits:
         return None
     if len(hits) > 1:

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 forbidden residue pair, 3 not a field where a
-field is required, 4 bad arguments, 5 the --out path or stdout cannot be
-written (closed pipe, full disk).  Integers are printed in full, J
-included; the size of J is not bounded yet (ROADMAP item 3).
+field is required, 4 bad arguments or running out of memory (stderr is
+then exactly `error: out of memory`, and what stdout already received
+stays), 5 the --out path or stdout cannot be written (closed pipe, full
+disk).  Integers are printed in full, J included; the size of J is not
+bounded yet (ROADMAP item 3).
 Output is deterministic for a given argv: scans classify one ring at a
 time in (b, a, q) order and write each line as soon as it is made, from
 one `finite.structure_report` and, on a field, one `groups.decompose`,
@@ -303,6 +305,11 @@ def main(argv=None) -> int:
         # table writes its --out directory itself and lists the files on stdout.
         _emit(handler(args), None if args.command == "table" else args.out)
         return 0
+    except MemoryError:
+        # Large enough inputs below the walk bound outgrow a capped or full
+        # memory; that is reported like a bad input, without a traceback.
+        print("error: out of memory", file=sys.stderr)
+        return 4
     except (ValueError, PolyadicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ForbiddenPairError):

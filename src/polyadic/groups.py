@@ -137,13 +137,12 @@ def reflections(report: StructureReport) -> dict[int, int]:
     return _subgroups_and_reflections(report)[1]
 
 
-def primitive_elements(report: StructureReport) -> tuple[frozenset[int], int]:
-    """Non-zero elements whose idempotence order is the full reduced order."""
+def primitive_elements(report: StructureReport) -> tuple[int, ...]:
+    """Non-zero elements whose idempotence order is the full reduced order, ascending."""
     _require_field(report)
     zero, q_star = report.zero, report.q_star
-    prim = frozenset(k for k, order in enumerate(report.element_orders)
-                     if order == q_star and k != zero)
-    return prim, len(prim)
+    return tuple(k for k, order in enumerate(report.element_orders)
+                 if order == q_star and k != zero)
 
 
 def decompose(report: StructureReport) -> GroupDecomposition:
@@ -175,7 +174,7 @@ def decompose(report: StructureReport) -> GroupDecomposition:
     candidates, refl, reached = _subgroups_and_reflections(report)  # its order breaks ties below
     maximal = [g for g in candidates if not any(g < h for h in candidates)]
     subgroups = tuple(sorted((tuple(sorted(g)) for g in maximal), key=lambda g: g[0]))
-    prim, kappa = primitive_elements(report)
+    prim = primitive_elements(report)
     return GroupDecomposition(
         ring=report.ring,
         subgroups=subgroups,
@@ -183,9 +182,9 @@ def decompose(report: StructureReport) -> GroupDecomposition:
         unit_subgroup_split=not refl,
         covers=True,
         pairwise_disjoint=sum(map(len, subgroups)) == report.q_star - report.kappa_e + len(reached),
-        primitive_elements=tuple(sorted(prim)),
-        kappa_prim=kappa,
-        reflections=tuple(sorted(refl.items())),
+        primitive_elements=prim,
+        kappa_prim=len(prim),
+        reflections=tuple(refl.items()),  # inserted in increasing k
     )
 
 

@@ -6,7 +6,8 @@ symmetric-polynomial expansion, the zero, the units and the field
 check from exhaustive tuple enumeration, querelements by trying every
 index, powers by repeated
 multiplication, divisors and primality from trial division up to the
-square root, and decompositions from every sorted tuple of divisors.
+square root, decompositions from every sorted tuple of divisors, and
+exact roots and quotients by counting up.
 Tests use them as the arbiter wherever the main path uses a closed form
 or a pruned search.
 
@@ -23,7 +24,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import isqrt
 from typing import Optional, Sequence
 
-from .errors import ForbiddenPairError
+from .errors import ForbiddenPairError, NonUniqueQuotientError
 from .finite import FiniteRing, is_field
 
 
@@ -75,6 +76,42 @@ def oracle_decompositions(x, depth: int) -> list[tuple]:
                       for c in combinations_with_replacement(candidates, slots)
                       if _prod(c) == v]
     return found
+
+
+def oracle_roots(k: int, bound: int) -> dict[int, int]:
+    """{r: t} for every exact k-th power r = t^k with |r| <= bound, by counting up.
+
+    t runs up from 0 while t^k <= bound.  For even k, t is the root kept
+    (the non-negative one) and no negative r has a root; for odd k, -t is
+    the root of -t^k as well.
+    """
+    roots, t = {}, 0
+    while t**k <= bound:
+        roots[t**k] = t
+        if k % 2:
+            roots[-(t**k)] = -t
+        t += 1
+    return roots
+
+
+def oracle_divide(x1, x2):
+    """Every class member q with x1 = x2*q^(n-1), for x2 != 0, by trying each.
+
+    Only |q|^(n-1) <= |x1/x2| can hold, and the largest such |q| is found
+    by counting up from 0.  Returns None when no q is found, the one q as
+    a class member, and raises NonUniqueQuotientError, listing them in
+    ascending order, when there are several.
+    """
+    ring, e = x1.ring, x1.ring.n - 1
+    v1, v2 = x1.value, x2.value
+    t = 0
+    while abs(v2) * (t + 1) ** e <= abs(v1):
+        t += 1
+    hits = [q for q in range(-t, t + 1)
+            if (q - ring.a) % ring.b == 0 and v2 * q**e == v1]
+    if len(hits) > 1:
+        raise NonUniqueQuotientError(hits)
+    return ring.from_value(hits[0]) if hits else None
 
 
 def oracle_is_prime(w: int) -> bool:

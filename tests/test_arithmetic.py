@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyadic.arithmetic import (
+    _iroot,
     are_coprime,
     composition_set,
     decompositions,
@@ -206,6 +207,13 @@ class TestDivision:
     def test_no_quotient(self):
         ring = make_descriptor(3, 4)
         assert polyadic_divide(ring.from_value(7), ring.from_value(11)) is None
+
+    @given(st.integers(2, 10**300), st.integers(2, 12))
+    def test_exact_roots_of_large_powers(self, s, k):
+        # Newton's step where counting up (test_oracle) cannot reach.
+        assert _iroot(s**k, k) == s
+        assert _iroot(-(s**k), k) == (-s if k % 2 else None)
+        assert _iroot(s**k - 1, k) is None and _iroot(s**k + 1, k) is None
 
     def test_zero_by_zero_is_not_unique(self):
         from polyadic.errors import NonUniqueQuotientError

@@ -91,6 +91,15 @@ class TestExamples:
             capsys, "scan", "--bmax", bounds[0], "--qmax", bounds[1])
         assert code == 4 and out == "" and message in err
 
+    @pytest.mark.parametrize("command", ["finite", "group"])
+    def test_out_of_memory_exits_4(self, capsys, monkeypatch, command):
+        def exhausted(fr):
+            raise MemoryError
+
+        monkeypatch.setattr("polyadic.finite.power_cycles", exhausted)
+        code, out, err = run_main(capsys, command, "--a", "1", "--b", "2", "--q", "5")
+        assert (code, out, err) == (4, "", "error: out of memory\n")
+
     def test_unwritable_out_exits_5(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -98,12 +98,18 @@ ROWS = {
         sha256="d15349a2c9f7b29cb49c41ce6d5868fde3a8afc9d6b0cafbf5f6790040b724de"),
     # Text finite and group walk the q indices.  Above the walk bound they
     # exit 4 before they allocate; a bytearray(q) used to end in a
-    # MemoryError or OverflowError traceback.
+    # MemoryError or OverflowError traceback.  -O strips assert statements,
+    # so the bound must not be one: the first row runs under -O.
     **{f"{command}-q{q}": Row(
-        cli(command, "--a", "1", "--b", "2", "--q", str(q)), 4, 2, stdout="", rss_mb=50,
+        (*opt, *cli(command, "--a", "1", "--b", "2", "--q", str(q))), 4, 2, stdout="",
+        rss_mb=50,
         stderr=f"error: q = {q} is above 10000000, the largest order walked index by index\n")
-       for command, q in (("finite", 10**10), ("finite", 2**61 - 1), ("finite", 10**20),
-                          ("group", 10**10))},
+       for opt, command, q in ((("-O",), "finite", 10**10), ((), "finite", 2**61 - 1),
+                               ((), "finite", 10**20), ((), "group", 10**10))},
+    # scan checks --qmax against the same bound before its first line.
+    "scan-qmax-10000001": Row(
+        cli("scan", "--bmax", "2", "--qmax", "10000001"), 4, 2, stdout="", rss_mb=50,
+        stderr="error: qmax must be <= 10000000\n"),
     # Any loop over the q indices would never finish at these orders.
     "huge-rings": Row(
         ("-c", HUGE_RINGS), 0, 20,

@@ -4,8 +4,14 @@ from math import gcd
 import pytest
 
 from conftest import scan_rings
-from polyadic.arithmetic import _abs_divisors, decompositions, is_irreducible
-from polyadic.errors import ForbiddenPairError, NoFiniteOrderError
+from polyadic.arithmetic import (
+    _abs_divisors,
+    _iroot,
+    decompositions,
+    is_irreducible,
+    polyadic_divide,
+)
+from polyadic.errors import ForbiddenPairError, NoFiniteOrderError, NonUniqueQuotientError
 from polyadic.factor import _is_binary_prime, _prime_factors
 from polyadic.finite import (
     FiniteRing,
@@ -21,6 +27,7 @@ from polyadic.groups import cyclic_subgroup, decompose, primitive_elements, refl
 from polyadic.oracle import (
     oracle_arity,
     oracle_decompositions,
+    oracle_divide,
     oracle_divisors,
     oracle_group_axioms,
     oracle_is_field,
@@ -28,10 +35,11 @@ from polyadic.oracle import (
     oracle_kmult,
     oracle_power_walk,
     oracle_querelements,
+    oracle_roots,
     oracle_units,
     oracle_zero,
 )
-from polyadic.ring import RingDescriptor, derive_arities, make_descriptor
+from polyadic.ring import PolyInt, RingDescriptor, derive_arities, make_descriptor
 from polyadic.tables import grid_pairs
 
 
@@ -219,7 +227,7 @@ class TestOraclePowers:
             assert dec.reflections == tuple(sorted(refl.items())), fr
             prim = tuple(k for k in nonzero if orders[k] == report.q_star)
             assert dec.primitive_elements == prim, fr
-            assert primitive_elements(report) == (frozenset(prim), len(prim)), fr
+            assert primitive_elements(report) == prim, fr
             union = set().union(*maximal)
             flags = (union | units == set(nonzero), len(union) == sum(map(len, maximal)),
                      units.isdisjoint(union))
@@ -264,3 +272,39 @@ class TestOracleDecompositions:
                 found += len(expected)
                 composites += composite
         assert (cases, found, composites) == (2957, 775, 407)
+
+
+def _quotient(divide, x1, x2):
+    # The division's outcome: None, the quotient, or the candidates it refused.
+    try:
+        return divide(x1, x2)
+    except NonUniqueQuotientError as exc:
+        return ("not unique", exc.candidates)
+
+
+class TestOracleDivision:
+    def test_exact_roots_match_counting_up(self):
+        for k in range(1, 13):
+            roots = oracle_roots(k, 10**4)
+            for r in range(-(10**4), 10**4 + 1):
+                assert _iroot(r, k) == roots.get(r), (r, k)
+
+    def test_quotients_match_trying_every_member(self):
+        # Every ring with b <= 12 and the binary limit, divisors with
+        # 0 < |k| <= 6, and dividends x2*q^(n-1) for every q with |k| <= 6
+        # and every x1 with |k| <= 12.  With minimal arities q and -q never
+        # both lie in a class of even n - 1, so [[1]]_2 with n = 3 is added
+        # for quotients that are not unique.
+        rings = [make_descriptor(a, b) for a, b in [(0, 1), *grid_pairs(12)]]
+        pairs, quotients, non_unique = 0, 0, 0
+        for ring in rings + [RingDescriptor(1, 2, 3, 3, 1, 0)]:
+            for x2 in (ring.element(k) for k in range(-6, 7) if k):
+                products = [ring.from_value(x2.value * ring.element(k).value ** (ring.n - 1))
+                            for k in range(-6, 7)]
+                for x1 in products + [ring.element(k) for k in range(-12, 13)]:
+                    expected = _quotient(oracle_divide, x1, x2)
+                    assert _quotient(polyadic_divide, x1, x2) == expected, (x1, x2)
+                    pairs += 1
+                    quotients += isinstance(expected, PolyInt)
+                    non_unique += expected is not None and not isinstance(expected, PolyInt)
+        assert (pairs, quotients, non_unique) == (26904, 9722, 169)
