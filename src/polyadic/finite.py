@@ -24,7 +24,8 @@ One `power_cycles` pass gives the cycles of powers and every order
 together, one walk per cycle: every index on a cycle reads its order off
 its position, and an index that has no order is recognised by a gcd test
 without a walk.  The characteristic is solved for one unit, since every
-unit gives the same one (`characteristic` proves it).
+unit gives the same one (`characteristic` proves it), and the units are
+looked for only when the ring has a zero.
 `structure_report` makes that pass once, O(q) even for the six lines of
 text `finite`, and keeps the cycles on the report, where `groups` reads
 them.  The two O(q) loops, `power_cycles` and `find_units`, raise
@@ -47,13 +48,6 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import ArityMismatchError, NoFiniteOrderError
 from .factor import _is_binary_prime, multiplicative_order
 from .ring import RingDescriptor, make_descriptor
-
-REPORT_KEYS = (
-    "a", "b", "m", "n", "I", "J", "q", "q_star", "n_admissible", "zero",
-    "units", "kappa_e", "is_field", "chi_p", "lambda_p", "zeroless",
-    "nonunital", "element_orders",
-)
-
 
 # The largest order whose q indices are walked or tested one by one
 # (`power_cycles`, `find_units`).  Text `finite` took 110 MB at q = 10^6.
@@ -382,8 +376,15 @@ def characteristic(fr: FiniteRing) -> Optional[int]:
     sides by u^(n-2)*u', a product of n-1 representatives.  The left side
     becomes N*u', since u is a unit, and the right side stays z, since
     the zero absorbs.  So N*u' = z too, and by symmetry the converse.
+
+    The zero is a closed form, and without it the answer is None at any q.
+    Only with a zero are the units found, which tests every index, so
+    above `WALK_Q_MAX` only a ring with a zero raises ValueError.
     """
-    return _characteristic(fr, find_zero(fr), find_units(fr))
+    zero = find_zero(fr)
+    if zero is None:
+        return None
+    return _characteristic(fr, zero, find_units(fr))
 
 
 def _characteristic(fr: FiniteRing, zero: Optional[int],
@@ -400,7 +401,7 @@ class StructureReport(NamedTuple):
     """Classification of one finite ring.
 
     `cycles` keeps the cycles of `power_cycles`, which `groups` reads; it
-    is compared like every other field but is not in `REPORT_KEYS`.
+    is compared like every other field but is not written by `to_json`.
     """
 
     ring: FiniteRing
@@ -458,10 +459,11 @@ def structure_report(fr: FiniteRing) -> StructureReport:
 def to_json(report: Optional[StructureReport] = None, group=None) -> str:
     """Compact JSON text of a report, of a `groups.GroupDecomposition`, or of both.
 
-    Report keys come in `REPORT_KEYS` order, then the decomposition's under
-    "group".  The text is `json.dumps(..., separators=(",", ":"))` of
-    `report_to_dict` and `groups.decomposition_to_dict`, which parse it; it
-    holds integers, fixed keys and None, True and False, respelled last.
+    The report's keys come in the one fixed order written here, "a" first
+    and "element_orders" last, then the decomposition's under "group".
+    The text is `json.dumps(..., separators=(",", ":"))` of `report_to_dict`
+    and `groups.decomposition_to_dict`, which parse it; it holds integers,
+    fixed keys and None, True and False, respelled last.
     """
     ints = lambda xs: "[" + ",".join(map(str, xs)) + "]"
     parts = []

@@ -6,8 +6,9 @@ symmetric-polynomial expansion, the zero, the units and the field
 check from exhaustive tuple enumeration, querelements by trying every
 index, powers by repeated
 multiplication, divisors and primality from trial division up to the
-square root, decompositions from every sorted tuple of divisors, and
-exact roots and quotients by counting up.
+square root or, for every w up to a limit at once, a sieve that appends
+each d to the lists of its multiples, decompositions from every sorted
+tuple of divisors, and exact roots and quotients by counting up.
 Tests use them as the arbiter wherever the main path uses a closed form
 or a pruned search.
 
@@ -53,6 +54,19 @@ def oracle_divisors(w: int) -> list[int]:
     w = abs(w)
     low = [d for d in range(1, isqrt(w) + 1) if w % d == 0]
     return low + [w // d for d in reversed(low) if d * d != w]
+
+
+def oracle_divisor_table(limit: int) -> list[list[int]]:
+    """Positive divisors of each w in 0..limit in increasing order ([] for 0).
+
+    A sieve: each d from 1 to limit is appended to the lists of its
+    multiples, so w is prime exactly when its list is [1, w].
+    """
+    table = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for w in range(d, limit + 1, d):
+            table[w].append(d)
+    return table
 
 
 def oracle_decompositions(x, depth: int) -> list[tuple]:

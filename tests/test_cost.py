@@ -15,10 +15,16 @@ stdout on a pipe, reads the row's stdout (or only its first line, after
 which it closes the pipe), kills the row once it runs past its budget,
 and reaps it with os.wait4 for its exit code and peak RSS.  The row's
 stderr is the launcher's own, which writes nothing else there.
+
+-O strips assert statements, so nothing an output depends on may be one.
+Three rows run under -O: the first walk-bound row, the scan 24x24 lines
+against the digest pinned in perfbench/expected.json, and the files of
+`table --out` against tests/golden/tables.
 """
 
 import hashlib
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -76,6 +82,35 @@ class Row(NamedTuple):
 
 def cli(*argv: str) -> tuple[str, ...]:
     return ("-m", "polyadic.cli", *argv)
+
+
+HERE = os.path.dirname(__file__)
+
+with open(os.path.join(HERE, os.pardir, "perfbench", "expected.json")) as f:
+    SCAN_24X24_SHA256 = json.load(f)["scan_sha256"]["24x24"]
+
+# Runs table --out into a fresh directory and prints one "name sha256" line
+# per written file, in name order, as `manifest` does for the golden files.
+TABLE_OUT = """\
+import contextlib, hashlib, io, os, sys, tempfile
+from polyadic.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["table", "--out", tmp])
+    tables = os.path.join(tmp, "tables")
+    for name in sorted(os.listdir(tables)):
+        with open(os.path.join(tables, name), "rb") as f:
+            print(name, hashlib.sha256(f.read()).hexdigest())
+sys.exit(code)
+"""
+
+
+def manifest(tables: str) -> str:
+    lines = []
+    for name in sorted(os.listdir(tables)):
+        with open(os.path.join(tables, name), "rb") as f:
+            lines.append(f"{name} {hashlib.sha256(f.read()).hexdigest()}\n")
+    return "".join(lines)
 
 
 HUGE_RINGS = """\
@@ -153,6 +188,11 @@ ROWS = {
     "divide-1000-digits": Row(
         cli("divide", "--a", "1", "--b", "4", "--dividend", str(5**1400), "--divisor", "5"), 0, 10,
         sha256="ec2641c7206dbfd92b78a1bf9c29272efaf96e1ba995005e8e04ceb1507dca18"),
+    # The published bytes under -O: the scan lines and every table file.
+    "scan-24x24-O": Row(
+        ("-O", *cli("scan", "--bmax", "24", "--qmax", "24")), 0, 20, sha256=SCAN_24X24_SHA256),
+    "table-out-O": Row(
+        ("-O", "-c", TABLE_OUT), 0, 20, stdout=manifest(os.path.join(HERE, "golden", "tables"))),
 }
 
 

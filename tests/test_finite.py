@@ -6,7 +6,6 @@ import pytest
 from polyadic.errors import ArityMismatchError, NoFiniteOrderError
 from polyadic.factor import _prime_factors
 from polyadic.finite import (
-    REPORT_KEYS,
     additive_quer_index,
     characteristic,
     element_order,
@@ -131,6 +130,14 @@ class TestCharacteristic:
         assert characteristic(finite_ring(5, 8, 2)) is None
         assert characteristic(finite_ring(5, 6, 4)) is None  # all units, no zero
 
+    def test_no_zero_answers_above_the_walk_bound(self):
+        # 2z = -1 has no solution modulo an even q, so neither ring has a
+        # zero; the units, an O(q) test, are not looked for.
+        assert characteristic(finite_ring(1, 2, 10**10)) is None
+        assert characteristic(finite_ring(5, 6, 10**12)) is None
+        with pytest.raises(ValueError, match="walked index by index"):
+            characteristic(finite_ring(0, 1, 10**10))  # zero 0, units to find
+
     def test_binary_limit_is_one_less_than_classical(self):
         # over Z/q the classical characteristic is q; the polyadic one
         # counts additions, hence q - 1
@@ -243,7 +250,6 @@ class TestStructureReport:
 
     def test_json_report_shape(self):
         payload = report_to_dict(structure_report(finite_ring(5, 8, 2)))
-        assert tuple(payload.keys()) == REPORT_KEYS
         assert payload["zero"] is None and payload["chi_p"] is None
         assert payload["zeroless"] and payload["nonunital"]
         text = json.dumps(payload)

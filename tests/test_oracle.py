@@ -28,6 +28,7 @@ from polyadic.oracle import (
     oracle_arity,
     oracle_decompositions,
     oracle_divide,
+    oracle_divisor_table,
     oracle_divisors,
     oracle_group_axioms,
     oracle_is_field,
@@ -242,14 +243,22 @@ class TestOraclePowers:
 
 class TestOracleFactorisation:
     def test_agrees_with_the_factorisation_up_to_10_to_5(self):
+        divisors = oracle_divisor_table(10**5)
         for w in range(1, 10**5 + 1):
             factors = _prime_factors(w)
             product = 1
             for p, e in factors.items():
                 product *= p**e
             assert product == w, w
-            assert sorted(_abs_divisors(-w, factors)) == oracle_divisors(w)[1:], w
-            assert _is_binary_prime(w) == _is_binary_prime(-w) == oracle_is_prime(w), w
+            assert sorted(_abs_divisors(-w, factors)) == divisors[w][1:], w
+            assert _is_binary_prime(w) == _is_binary_prime(-w) == (len(divisors[w]) == 2), w
+
+    def test_divisor_table_agrees_with_trial_division(self):
+        divisors = oracle_divisor_table(3000)
+        assert divisors[0] == []
+        for w in range(1, 3001):
+            assert divisors[w] == oracle_divisors(w), w
+            assert (len(divisors[w]) == 2) == oracle_is_prime(w), w
 
 
 class TestOracleDecompositions:
