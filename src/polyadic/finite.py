@@ -17,21 +17,22 @@ with the proof in its docstring, and none loops over the q indices:
   divisor of b*q, which costs the factorisation of b*q and of its
   exponent (`element_order`);
 - the multiplicative querelements solve one linear congruence
-  (`mult_querelements`).
+  (`mult_querelements`);
+- the characteristic needs the zero, gcd(b, q) = 1 and one linear
+  congruence modulo q, and no unit (`characteristic`).
 
 The units (`find_units`) and the order of every element cost O(q).
 One `power_cycles` pass gives the cycles of powers and every order
 together, one walk per cycle: every index on a cycle reads its order off
 its position, and an index that has no order is recognised by a gcd test
-without a walk.  The characteristic is solved for one unit, since every
-unit gives the same one (`characteristic` proves it), and the units are
-looked for only when the ring has a zero.
-`structure_report` makes that pass once, O(q) even for the six lines of
-text `finite`, and keeps the cycles on the report, where `groups` reads
-them.  The two O(q) loops, `power_cycles` and `find_units`, raise
-ValueError above `WALK_Q_MAX` before they allocate; the closed forms
-answer at any q.  `to_json` is the one JSON writer of reports and group
-decompositions.  Nothing is cached.
+without a walk.  The units are then the indices of order 1 prime to q,
+one gcd each (`structure_report` proves it).  `structure_report` makes
+that pass once, O(q) even for the six lines of text `finite`, and keeps
+the cycles on the report, where `groups` reads them.  The two O(q)
+loops, `power_cycles` and `find_units`, raise ValueError above
+`WALK_Q_MAX` before they allocate; the closed forms answer at any q.
+`to_json` is the one JSON writer of reports and group decompositions.
+Nothing is cached.
 
 `FiniteRing` and `StructureReport` are `typing.NamedTuple`s, not
 dataclasses, so that no process pays for importing `dataclasses` (see
@@ -190,17 +191,14 @@ def find_units(fr: FiniteRing) -> tuple[int, ...]:
     modulo b*q for every k, leaving the k = 0 condition.
 
     It tests every index, so above `WALK_Q_MAX` it raises ValueError.
+    `structure_report` reads the same units off its walk instead: they
+    are the indices of order 1 whose representative is prime to q.
     """
     _check_walk(fr.q)
-    return _units(fr, range(fr.q))
-
-
-def _units(fr: FiniteRing, candidates) -> tuple[int, ...]:
-    """The candidate indices that pass the unit test of `find_units`."""
     a, b, n1, q = fr.ring.a, fr.ring.b, fr.ring.n - 1, fr.q
     mod = b * q
     out = []
-    for e in candidates:
+    for e in range(q):
         u = pow(a + b * e, n1, mod) - 1
         if u % q == 0 and u * a % mod == 0:
             out.append(e)
@@ -358,42 +356,34 @@ def element_order(fr: FiniteRing, k: int) -> int:
 def characteristic(fr: FiniteRing) -> Optional[int]:
     """Least l >= 1 with the l-th additive power of a unit at the zero.
 
-    Defined only when both a unit and the zero exist, and then the same
-    for every unit, so it is solved for the first unit e alone: the least
-    l >= 1 solving the linear congruence
-    l*(m-1)*rep(e) = rep(z) - rep(e) (mod b*q).
+    Defined only when both the zero and a unit exist.  With a zero, a
+    unit exists exactly when gcd(b, q) = 1, and then l is the least
+    l >= 1 with l*(m-1) = -1 (mod q), the same for every unit; there is
+    none when gcd(m-1, q) > 1.  So it costs `find_zero`, a gcd and one
+    linear congruence modulo q, looks for no unit and answers at any q.
 
-    Proof sketch.  The l-th additive power of e sums N = l*(m-1) + 1
-    copies of rep(e), which gives the congruence.  With c = (m-1)*rep(e)
-    and g = gcd(c, b*q), it is solvable iff g | rep(z) - rep(e), and its
-    solutions are then one residue class modulo b*q/g.  Since
-    (m-1)*a = 0 (mod b) defines m, b divides c and so g, and the period
-    b*q/g is at most q: the least solution is the one a direct search
-    over l <= q would find.
+    Proof sketch.  The zero z passes `find_zero`'s test, so
+    h = b*q / gcd(rep z, b*q) divides b, that is q | rep(z).  A unit e
+    has q | rep(e)^(n-1) - 1 (`find_units`), so rep(e) is prime to q,
+    and so is b*(e - z) = rep(e) - rep(z): both exist only when
+    gcd(b, q) = 1.  Conversely, when gcd(b, q) = 1, the index e with
+    rep(e) = 1 (mod q) is a unit: u = rep(e)^(n-1) - 1 has q | u, and
+    u = a^(n-1) - 1 (mod b) with a^n = a (mod b) gives b | u*a, so
+    b*q | u*a.
 
-    Every unit gives the same l.  Let u and u' be the representatives of
-    two units and z that of the zero.  If N*u = z (mod b*q), multiply both
-    sides by u^(n-2)*u', a product of n-1 representatives.  The left side
-    becomes N*u', since u is a unit, and the right side stays z, since
-    the zero absorbs.  So N*u' = z too, and by symmetry the converse.
-
-    The zero is a closed form, and without it the answer is None at any q.
-    Only with a zero are the units found, which tests every index, so
-    above `WALK_Q_MAX` only a ring with a zero raises ValueError.
+    The l-th additive power of a unit e sums N = l*(m-1) + 1 copies of
+    rep(e), so it is the zero iff N*rep(e) = rep(z) (mod b*q).  With
+    (m-1)*a = b*I, N*rep(e) - rep(z) = b*(l*((m-1)*e + I) + e - z), and
+    (m-1)*z + I = 0 (mod q) turns (m-1)*e + I into (m-1)*(e - z) modulo
+    q, so the condition is q | (e - z)*N.  As e - z is prime to q, that
+    is q | N, or l*(m-1) = -1 (mod q), whatever the unit.  Its solutions
+    in [0, q) are one class modulo q when gcd(m-1, q) = 1 and none
+    otherwise (`_congruence`); the least l >= 1 is the solution, or q
+    when it is 0, which happens only at q = 1.
     """
-    zero = find_zero(fr)
-    if zero is None:
+    if gcd(fr.ring.b, fr.q) != 1 or find_zero(fr) is None:
         return None
-    return _characteristic(fr, zero, find_units(fr))
-
-
-def _characteristic(fr: FiniteRing, zero: Optional[int],
-                    units: tuple[int, ...]) -> Optional[int]:
-    if zero is None or not units:
-        return None
-    e, mod = units[0], fr.modulus
-    c = (fr.ring.m - 1) * fr.rep(e) % mod
-    solutions = _congruence(c, fr.ring.b * (zero - e), mod)  # rep(zero) - rep(e)
+    solutions = _congruence(fr.ring.m - 1, -1, fr.q)
     return (solutions[0] or solutions.step) if solutions else None
 
 
@@ -431,20 +421,31 @@ def structure_report(fr: FiniteRing) -> StructureReport:
     longest cycle, since every order on a cycle divides its first one,
     its length.  The zero, its own first power, has order 1 and lies on
     no cycle but its own one-element one, since a power that reaches the
-    zero stays there and never returns.
+    zero stays there and never returns.  The zero is `find_zero`'s and
+    chi_p is `characteristic`'s, closed forms both.
+
+    The units are read off the walk by one gcd each: they are the
+    indices of order 1 whose representative is prime to q.  Proof
+    sketch.  Let r = rep(k) and u = r^(n-1) - 1.  An index of order 1
+    has r*r^(n-1) = r (mod b*q), that is b*q | u*r, so b*q / gcd(r, b*q)
+    divides u.  If gcd(r, q) = 1, each prime power of q divides
+    b*q / gcd(r, b*q), so q | u.  Then b*q | u*b*k, and with
+    b*q | u*r = u*a + u*b*k this gives b*q | u*a: both parts of
+    `find_units`' test.  Conversely, a unit has order 1, since
+    mu[e^(n-1), e] = e, and its q | u makes r prime to q.
     """
+    a, b, q = fr.ring.a, fr.ring.b, fr.q
     zero = find_zero(fr)
     cycles, orders = power_cycles(fr)
-    # A unit e has order 1, since mu[e^(n-1), e] = e: only those are tested.
-    units = _units(fr, [k for k, o in enumerate(orders) if o == 1])
-    q_star = fr.q - 1 if zero is not None else fr.q
+    units = tuple(k for k, o in enumerate(orders) if o == 1 and gcd(a + b * k, q) == 1)
+    q_star = q - 1 if zero is not None else q
     lambda_p = max(map(len, cycles)) if q_star >= 1 and None not in orders else None
     return StructureReport(
         ring=fr,
         zero=zero,
         units=units,
         is_field=is_field(fr),
-        chi_p=_characteristic(fr, zero, units),
+        chi_p=characteristic(fr),
         lambda_p=lambda_p,
         element_orders=tuple(orders),
         q_star=q_star,

@@ -4,8 +4,8 @@ These deliberately share no code with the main paths: arities come from
 a plain double scan, index multiplication from the literal
 symmetric-polynomial expansion, the zero, the units and the field
 check from exhaustive tuple enumeration, querelements by trying every
-index, powers by repeated
-multiplication, divisors and primality from trial division up to the
+index, powers by repeated multiplication, the characteristic by
+repeated addition, divisors and primality from trial division up to the
 square root or, for every w up to a limit at once, a sieve that appends
 each d to the lists of its multiples, decompositions from every sorted
 tuple of divisors, and exact roots and quotients by counting up.
@@ -207,6 +207,34 @@ def oracle_units(fr: FiniteRing) -> tuple[int, ...]:
         e for e in fr.elements()
         if all(_mul(fr, (e,) * (n - 1) + (x,)) == x for x in fr.elements())
     )
+
+
+def oracle_characteristic(fr: FiniteRing, zero: Optional[int],
+                          units: Sequence[int]) -> Optional[int]:
+    """Least l >= 1 at which the l-th additive power of each unit is the zero.
+
+    `zero` and `units` are `oracle_zero(fr)` and `oracle_units(fr)`,
+    passed in so that a caller holding them does not enumerate again.
+    Each unit e is added to itself with `_add`, m-1 more copies of e at a
+    time, for at most q steps: the sums move by a fixed index step, so
+    they repeat with a period dividing q.  None without a zero or a unit,
+    or when no unit reaches the zero.  Every unit must give the same l;
+    AssertionError otherwise.
+    """
+    if zero is None:
+        return None
+    steps = set()
+    for e in units:
+        x, least = e, None
+        for l in range(1, fr.q + 1):
+            x = _add(fr, [x] + [e] * (fr.ring.m - 1))
+            if x == zero:
+                least = l
+                break
+        steps.add(least)
+    if len(steps) > 1:
+        raise AssertionError(f"units of {fr!r} reach the zero in different steps: {steps}")
+    return steps.pop() if steps else None
 
 
 def oracle_is_field(fr: FiniteRing) -> bool:

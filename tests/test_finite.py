@@ -130,13 +130,16 @@ class TestCharacteristic:
         assert characteristic(finite_ring(5, 8, 2)) is None
         assert characteristic(finite_ring(5, 6, 4)) is None  # all units, no zero
 
-    def test_no_zero_answers_above_the_walk_bound(self):
-        # 2z = -1 has no solution modulo an even q, so neither ring has a
-        # zero; the units, an O(q) test, are not looked for.
+    def test_answers_above_the_walk_bound(self):
+        # chi_p needs the zero, gcd(b, q) and one congruence, and no unit.
+        # 2z = -1 has no solution modulo an even q, so neither ring has a zero.
         assert characteristic(finite_ring(1, 2, 10**10)) is None
         assert characteristic(finite_ring(5, 6, 10**12)) is None
-        with pytest.raises(ValueError, match="walked index by index"):
-            characteristic(finite_ring(0, 1, 10**10))  # zero 0, units to find
+        assert find_zero(finite_ring(2, 6, 10**12)) is not None
+        assert characteristic(finite_ring(2, 6, 10**12)) is None  # gcd(b, q) = 2: no unit
+        assert characteristic(finite_ring(0, 1, 10**10)) == 10**10 - 1
+        q = 2**61 - 1
+        assert characteristic(finite_ring(1, 2, q)) == (q - 1) // 2  # 2l = -1 (mod q)
 
     def test_binary_limit_is_one_less_than_classical(self):
         # over Z/q the classical characteristic is q; the polyadic one
@@ -145,13 +148,13 @@ class TestCharacteristic:
             assert characteristic(finite_ring(0, 1, q)) == q - 1
 
     def test_every_unit_reaches_the_zero_in_chi_p_steps(self):
-        # chi_p is solved for the first unit only; characteristic proves that
-        # every unit gives the same value.  Here each unit finds its own
-        # least l by adding, with no congruence.
+        # chi_p is solved for no unit; characteristic proves that every unit
+        # gives the same value.  Here each unit finds its own least l by
+        # adding, with no congruence.
         rings = 0
         for fr in scan_rings(12, 12):
             report = structure_report(fr)
-            if report.zero is None or len(report.units) < 2:
+            if report.zero is None or not report.units:
                 continue
             rings += 1
             for e in report.units:
@@ -162,7 +165,7 @@ class TestCharacteristic:
                         least = l
                         break
                 assert least == report.chi_p, (fr, e)
-        assert rings > 0
+        assert rings == 362
 
 
 class TestElementOrders:

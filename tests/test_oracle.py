@@ -15,6 +15,7 @@ from polyadic.errors import ForbiddenPairError, NoFiniteOrderError, NonUniqueQuo
 from polyadic.factor import _is_binary_prime, _prime_factors
 from polyadic.finite import (
     FiniteRing,
+    characteristic,
     element_order,
     find_units,
     find_zero,
@@ -26,6 +27,7 @@ from polyadic.finite import (
 from polyadic.groups import cyclic_subgroup, decompose, primitive_elements, reflections
 from polyadic.oracle import (
     oracle_arity,
+    oracle_characteristic,
     oracle_decompositions,
     oracle_divide,
     oracle_divisor_table,
@@ -149,9 +151,15 @@ class TestOracleZeroAndUnits:
                  for q in range(1, 17)]
         rings = [fr for fr in rings if fr.q ** (fr.ring.n - 1) <= 10**4]
         assert len(rings) == 1300
+        defined = 0
         for fr in rings:
-            assert oracle_zero(fr) == find_zero(fr), fr
-            assert oracle_units(fr) == find_units(fr), fr
+            zero, units = oracle_zero(fr), oracle_units(fr)
+            assert zero == find_zero(fr), fr
+            assert units == find_units(fr), fr
+            chi_p = oracle_characteristic(fr, zero, units)
+            assert chi_p == characteristic(fr) == structure_report(fr).chi_p, fr
+            defined += chi_p is not None
+        assert defined == 744
 
     def test_agree_with_closed_forms_at_larger_arities(self):
         # A descriptor may carry any m with (m-1)*a = 0 and any n with
@@ -166,14 +174,20 @@ class TestOracleZeroAndUnits:
                     rings += [FiniteRing(ring, q) for q in range(1, 9)
                               if q ** (n - 1) <= 10**3]
         assert len(rings) == 610
-        fields = 0
+        fields = both = undefined = 0
         for fr in rings:
-            assert oracle_zero(fr) == find_zero(fr), fr
-            assert oracle_units(fr) == find_units(fr), fr
+            zero, units = oracle_zero(fr), oracle_units(fr)
+            assert zero == find_zero(fr), fr
+            assert units == find_units(fr), fr
+            chi_p = oracle_characteristic(fr, zero, units)
+            assert chi_p == characteristic(fr) == structure_report(fr).chi_p, fr
+            if zero is not None and units:
+                both += 1
+                undefined += chi_p is None  # gcd(m-1, q) > 1: no unit reaches the zero
             if fr.q ** (fr.ring.m - 1) + fr.q ** fr.ring.n <= 10**3:
                 assert oracle_is_field(fr) == is_field(fr), fr
                 fields += 1
-        assert fields == 148
+        assert fields == 148 and (both, undefined) == (386, 95)
 
 
 class TestOraclePowers:
