@@ -307,7 +307,8 @@ def divide_with_remainder(
     t = x1 - x2*q^(n-1), r = t/w is an integer in [[a]]_b exactly when
     t = a*w (mod b*w).  Since b*w divides b*(k_q - k_q mod w), q is
     congruent to a + b*(k_q mod w) modulo b*w, so t mod b*w, and with it
-    the verdict, depends on k_q only through k_q mod w.
+    the verdict, depends on k_q only through k_q mod w.  The same test
+    makes r's index, (r - a)/b = (t - a*w)/(b*w), one exact division.
 
     Every hit is found: write k = -R + i*w + j with 0 <= j < w, R the
     radius.  Then -R + j <= k <= R, so -R + j lies in the first block
@@ -338,8 +339,7 @@ def _remainder_pairs(ring: RingDescriptor, v1: int, v2: int,
             k = start + j
             if k > radius:
                 return
-            r = (v1 - v2 * (a + b * k) ** e) // w
-            yield PolyInt(ring, k), PolyInt(ring, (r - a) // b)
+            yield PolyInt(ring, k), PolyInt(ring, (v1 - v2 * (a + b * k) ** e - a * w) // mod)
 
 
 def euler_scan(ring: RingDescriptor, k_max: int) -> tuple[list[PolyInt], int]:

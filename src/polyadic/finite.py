@@ -12,14 +12,17 @@ with the proof in its docstring, and none loops over the q indices:
 
 - the zero solves a linear congruence modulo q, so at most
   gcd(m-1, q) candidates are tested (`find_zero`);
-- the field test is a few gcds and one primality test of q (`is_field`);
+- the field test is a few gcds and one primality test of q, and needs
+  no zero: at q = 1 the one index is the zero, by the lemma in
+  `find_zero` (`is_field`);
 - an element's idempotence order is a multiplicative order modulo a
   divisor of b*q, which costs the factorisation of b*q and of its
   exponent (`element_order`);
 - the multiplicative querelements solve one linear congruence
   (`mult_querelements`);
-- the characteristic needs the zero, gcd(b, q) = 1 and one linear
-  congruence modulo q, and no unit (`characteristic`).
+- the characteristic needs gcd(b, q) = 1, under which the zero exists
+  (the lemma in `find_zero`), and one linear congruence modulo q, and
+  searches for no zero and no unit (`characteristic`).
 
 The units (`find_units`) and the order of every element cost O(q).
 One `power_cycles` pass gives the cycles of powers and every order
@@ -169,6 +172,19 @@ def find_zero(fr: FiniteRing) -> Optional[int]:
     the first candidate passing the test is the zero.  With the minimal
     arities of `make_descriptor` the first condition alone implies the
     second, but a descriptor with a larger m or n needs both.
+
+    Lemma.  When gcd(b, q) = 1, the one index z with q | rep(z) is the
+    zero.  When also gcd(m-1, q) = 1, it is the one solution z0 of
+    (m-1)*z + I = 0 (mod q).  So `characteristic` and `is_field` need no
+    search, and at q = 1 the one index is the zero.  Proof.
+    (m-1)*a = b*I gives (m-1)*rep(z) = b*((m-1)*z + I), so q | rep(z)
+    makes q | (m-1)*z + I, as b is prime to q: z solves the congruence.
+    As rep(z) = a (mod b) and b is prime to q,
+    gcd(rep z, b*q) = gcd(a, b)*q, so h = b / gcd(a, b), which divides
+    b.  And b | a*(a^(n-1) - 1), as a^n = a (mod b) for every valid
+    descriptor, so h | a^(n-1) - 1, since a / gcd(a, b) is prime to h.
+    When gcd(m-1, q) = 1 the congruence has one solution z0, and z
+    solves it, so z0 = z.
     """
     a, b, n1, mod = fr.ring.a, fr.ring.b, fr.ring.n - 1, fr.modulus
     for z in _congruence(fr.ring.m - 1, -fr.ring.i_shape, fr.q):
@@ -227,11 +243,11 @@ def is_field(fr: FiniteRing) -> bool:
     """Whether the additive and the non-zero multiplicative structure are groups.
 
     The ring is a field exactly when it has a non-zero element and every
-    non-zero representative is coprime to q.  In closed form: for q = 1
-    when it has no zero; for q >= 2 when either every prime of q divides b
-    and gcd(a, q) = 1, or q is a prime that does not divide b.  That
-    costs a few gcds and one primality test of q
-    (`factor._is_binary_prime`).
+    non-zero representative is coprime to q.  In closed form: never for
+    q = 1, whose one index is the zero (the lemma in `find_zero`); for
+    q >= 2 when either every prime of q divides b and gcd(a, q) = 1, or
+    q is a prime that does not divide b.  That costs a few gcds and one
+    primality test of q (`factor._is_binary_prime`), and no zero search.
 
     Proof sketch.  Additive translations k -> k + s + I permute the
     indices, so only multiplication can fail.  Multiplying by a product p
@@ -252,19 +268,15 @@ def is_field(fr: FiniteRing) -> bool:
     otherwise; for q >= 2 there is a non-zero index, so p must not divide
     a.  If p does not divide b, it is the q/p indices k = -a*b^-1 (mod p),
     all of which must be the zero: so q = p, and the zero must be that
-    index k0.  It always is (`find_zero`): (m-1)*rep(k0) vanishes modulo
-    b, as (m-1)*a does, and modulo p, so k0 solves the congruence; and
-    h = b*p / gcd(rep(k0), b*p) = b/gcd(a, b) divides b and is coprime to
-    a (`ring.derive_arities`), so a^n = a (mod b) gives a^(n-1) = 1
-    (mod h).  A q with primes of both kinds has q != p for its prime p
-    outside b.  At q = 1 the one element has a representative coprime to
-    1, and the ring is a field iff that element is not the zero.
+    index k0.  It always is, by the lemma in `find_zero`: gcd(b, p) = 1
+    and p | rep(k0).  A q with primes of both kinds has q != p for its
+    prime p outside b.  At q = 1 the one element has a representative
+    coprime to 1, and it is the zero (the same lemma), so the ring is no
+    field.
     """
     a, b, q = fr.ring.a, fr.ring.b, fr.q
-    if q == 1:
-        return find_zero(fr) is None
-    if _coprime_part(q, b) == 1:  # every prime of q divides b
-        return gcd(a, q) == 1
+    if _coprime_part(q, b) == 1:  # every prime of q divides b; none at q = 1
+        return q > 1 and gcd(a, q) == 1
     return _is_binary_prime(q)  # a prime q here does not divide b
 
 
@@ -356,20 +368,20 @@ def element_order(fr: FiniteRing, k: int) -> int:
 def characteristic(fr: FiniteRing) -> Optional[int]:
     """Least l >= 1 with the l-th additive power of a unit at the zero.
 
-    Defined only when both the zero and a unit exist.  With a zero, a
-    unit exists exactly when gcd(b, q) = 1, and then l is the least
-    l >= 1 with l*(m-1) = -1 (mod q), the same for every unit; there is
-    none when gcd(m-1, q) > 1.  So it costs `find_zero`, a gcd and one
-    linear congruence modulo q, looks for no unit and answers at any q.
+    Defined only when both the zero and a unit exist, which is exactly
+    when gcd(b, q) = 1.  Then l is the least l >= 1 with
+    l*(m-1) = -1 (mod q), the same for every unit; there is none when
+    gcd(m-1, q) > 1.  So it costs two gcds and one linear congruence
+    modulo q, looks for no zero and no unit, and answers at any q.
 
     Proof sketch.  The zero z passes `find_zero`'s test, so
     h = b*q / gcd(rep z, b*q) divides b, that is q | rep(z).  A unit e
     has q | rep(e)^(n-1) - 1 (`find_units`), so rep(e) is prime to q,
     and so is b*(e - z) = rep(e) - rep(z): both exist only when
-    gcd(b, q) = 1.  Conversely, when gcd(b, q) = 1, the index e with
-    rep(e) = 1 (mod q) is a unit: u = rep(e)^(n-1) - 1 has q | u, and
-    u = a^(n-1) - 1 (mod b) with a^n = a (mod b) gives b | u*a, so
-    b*q | u*a.
+    gcd(b, q) = 1.  Conversely, when gcd(b, q) = 1, the zero exists
+    (the lemma in `find_zero`), and the index e with rep(e) = 1 (mod q)
+    is a unit: u = rep(e)^(n-1) - 1 has q | u, and u = a^(n-1) - 1
+    (mod b) with a^n = a (mod b) gives b | u*a, so b*q | u*a.
 
     The l-th additive power of a unit e sums N = l*(m-1) + 1 copies of
     rep(e), so it is the zero iff N*rep(e) = rep(z) (mod b*q).  With
@@ -381,7 +393,7 @@ def characteristic(fr: FiniteRing) -> Optional[int]:
     otherwise (`_congruence`); the least l >= 1 is the solution, or q
     when it is 0, which happens only at q = 1.
     """
-    if gcd(fr.ring.b, fr.q) != 1 or find_zero(fr) is None:
+    if gcd(fr.ring.b, fr.q) != 1:
         return None
     solutions = _congruence(fr.ring.m - 1, -1, fr.q)
     return (solutions[0] or solutions.step) if solutions else None
@@ -421,8 +433,9 @@ def structure_report(fr: FiniteRing) -> StructureReport:
     longest cycle, since every order on a cycle divides its first one,
     its length.  The zero, its own first power, has order 1 and lies on
     no cycle but its own one-element one, since a power that reaches the
-    zero stays there and never returns.  The zero is `find_zero`'s and
-    chi_p is `characteristic`'s, closed forms both.
+    zero stays there and never returns.  The zero is `find_zero`'s, the
+    one zero search of the report: `is_field` and chi_p
+    (`characteristic`) need none, by the lemma in `find_zero`.
 
     The units are read off the walk by one gcd each: they are the
     indices of order 1 whose representative is prime to q.  Proof

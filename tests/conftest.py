@@ -36,6 +36,27 @@ def scan_rings(b_max: int, q_max: int):
     return [finite_ring(a, b, q) for a, b in grid_pairs(b_max) for q in range(2, q_max + 1)]
 
 
+def larger_arity_rings():
+    """610 rings whose descriptors carry an m or n above the least ones.
+
+    A descriptor may carry any m with (m-1)*a = 0 and any n with
+    a^n = a (mod b): for each pair with b <= 8 these take m = 2m0 - 1 or
+    3m0 - 2 and n = n0 or 2n0 - 1 over the least (m0, n0), at each
+    q <= 8 with q^(n-1) <= 10^3.
+    """
+    from polyadic.finite import FiniteRing
+    from polyadic.ring import RingDescriptor, grid_pairs, make_descriptor
+
+    rings = []
+    for a, b in grid_pairs(8):
+        d = make_descriptor(a, b)
+        for m in (2 * d.m - 1, 3 * d.m - 2):
+            for n in (d.n, 2 * d.n - 1):
+                ring = RingDescriptor(a, b, m, n, (m - 1) * a // b, (a**n - a) // b)
+                rings += [FiniteRing(ring, q) for q in range(1, 9) if q ** (n - 1) <= 10**3]
+    return rings
+
+
 @pytest.fixture(scope="session")
 def grid_reports():
     """The classified T2 grid that every table generator reads."""

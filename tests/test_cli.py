@@ -325,7 +325,7 @@ class TestScan:
     def test_scan_40x40_bytes_are_pinned(self, capsys, tmp_path):
         # 26,598 rings: orders above 24, and 132 fields whose subgroups tie
         # on their least element.  Defining the tie order by the whole tuple
-        # (ROADMAP item 2) re-pins this digest along with the tie-order tests.
+        # (ROADMAP item 14) re-pins this digest along with the tie-order tests.
         target = tmp_path / "scan.jsonl"
         code, out, _ = run_main(
             capsys, "scan", "--bmax", "40", "--qmax", "40", "--out", str(target))

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from polyadic import finite
 from polyadic.errors import ArityMismatchError, NoFiniteOrderError
 from polyadic.factor import _prime_factors
 from polyadic.finite import (
@@ -19,9 +20,9 @@ from polyadic.finite import (
     report_to_dict,
     structure_report,
 )
-from polyadic.oracle import proper_subfields
+from polyadic.oracle import oracle_characteristic, proper_subfields
 from polyadic.ring import allowed_residues, grid_pairs
-from conftest import scan_rings
+from conftest import larger_arity_rings, scan_rings
 
 
 def reps(fr, ks):
@@ -131,7 +132,7 @@ class TestCharacteristic:
         assert characteristic(finite_ring(5, 6, 4)) is None  # all units, no zero
 
     def test_answers_above_the_walk_bound(self):
-        # chi_p needs the zero, gcd(b, q) and one congruence, and no unit.
+        # chi_p needs gcd(b, q) and one congruence, and no zero or unit search.
         # 2z = -1 has no solution modulo an even q, so neither ring has a zero.
         assert characteristic(finite_ring(1, 2, 10**10)) is None
         assert characteristic(finite_ring(5, 6, 10**12)) is None
@@ -166,6 +167,39 @@ class TestCharacteristic:
                         break
                 assert least == report.chi_p, (fr, e)
         assert rings == 362
+
+
+def lemma_rings():
+    """Every ring with b, q <= 12, the binary limit and q = 1 included, and
+    the 610 rings of `larger_arity_rings`."""
+    return [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(12)]
+            for q in range(1, 13)] + larger_arity_rings()
+
+
+class TestOneZeroSearch:
+    # The lemma in find_zero: with gcd(b, q) = 1 the zero exists, so chi_p
+    # and the field test never search for it, and a report searches once.
+
+    def test_characteristic_and_is_field_search_no_zero(self, monkeypatch):
+        rings = lemma_rings()
+        # chi_p by its definition, from the searched zero and units; at
+        # q = 1 the ring is a field iff its one index is not the zero.
+        expected = [(oracle_characteristic(fr, find_zero(fr), find_units(fr)),
+                     find_zero(fr) is None if fr.q == 1 else is_field(fr)) for fr in rings]
+
+        def no_search(fr):
+            raise AssertionError(f"find_zero({fr!r}) called")
+
+        monkeypatch.setattr(finite, "find_zero", no_search)
+        assert [(characteristic(fr), is_field(fr)) for fr in rings] == expected
+
+    def test_structure_report_searches_the_zero_once(self, monkeypatch):
+        rings, calls = lemma_rings(), []
+        search = finite.find_zero
+        monkeypatch.setattr(finite, "find_zero", lambda fr: calls.append(fr) or search(fr))
+        for fr in rings:
+            structure_report(fr)
+        assert calls == rings
 
 
 class TestElementOrders:

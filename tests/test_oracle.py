@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import scan_rings
+from conftest import larger_arity_rings, scan_rings
 from polyadic.arithmetic import (
     _abs_divisors,
     _iroot,
@@ -14,7 +14,6 @@ from polyadic.arithmetic import (
 from polyadic.errors import ForbiddenPairError, NoFiniteOrderError, NonUniqueQuotientError
 from polyadic.factor import _is_binary_prime, _prime_factors
 from polyadic.finite import (
-    FiniteRing,
     characteristic,
     element_order,
     find_units,
@@ -165,14 +164,7 @@ class TestOracleZeroAndUnits:
         # A descriptor may carry any m with (m-1)*a = 0 and any n with
         # a^n = a (mod b), not just the least ones: then both parts of
         # find_zero's test on the congruence's solutions are needed.
-        rings = []
-        for a, b in grid_pairs(8):
-            d = make_descriptor(a, b)
-            for m in (2 * d.m - 1, 3 * d.m - 2):
-                for n in (d.n, 2 * d.n - 1):
-                    ring = RingDescriptor(a, b, m, n, (m - 1) * a // b, (a**n - a) // b)
-                    rings += [FiniteRing(ring, q) for q in range(1, 9)
-                              if q ** (n - 1) <= 10**3]
+        rings = larger_arity_rings()
         assert len(rings) == 610
         fields = both = undefined = 0
         for fr in rings:
