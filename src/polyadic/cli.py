@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 forbidden residue pair, 3 not a field where a
 field is required, 4 bad arguments or running out of memory (stderr is
 then exactly `error: out of memory`, and what stdout already received
 stays), 5 the --out path or stdout cannot be written (closed pipe, full
-disk).  Integers are printed in full, J included; the size of J is not
-bounded yet (ROADMAP item 3).
+disk), 130 interrupted by Ctrl-C (SIGINT; stderr is then exactly
+`error: interrupted`).  Integers are printed in full, J included; the
+size of J is not bounded yet (ROADMAP item 3).
 Output is deterministic for a given argv: scans classify one ring at a
 time in (b, a, q) order and write each line as soon as it is made, from
 one `finite.structure_report` and, on a field, one `groups.decompose`,
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         # table writes its --out directory itself and lists the files on stdout.
         _emit(handler(args), None if args.command == "table" else args.out)
         return 0
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except MemoryError:
         # Large enough inputs below the walk bound outgrow a capped or full
         # memory; that is reported like a bad input, without a traceback.

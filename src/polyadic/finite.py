@@ -462,7 +462,7 @@ def structure_report(fr: FiniteRing) -> StructureReport:
         lambda_p=lambda_p,
         element_orders=tuple(orders),
         q_star=q_star,
-        # A word has length >= 1 (`ring._fold`), so q* = 0 is never admissible.
+        # A word has length l*(n-1)+1 >= 1 (`ring.mu_long`), so q* = 0 is never admissible.
         n_admissible=q_star >= 1 and (q_star - 1) % (fr.ring.n - 1) == 0,
         zeroless=zero is None,
         nonunital=not units,

@@ -25,7 +25,7 @@ whose `__new__` runs the check.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -177,13 +177,20 @@ def _check_residue(a: int, b: int) -> None:
         raise ValueError(f"residue must satisfy 0 <= a <= b-1, got a={a}, b={b}")
 
 
-def _check_arity(xs: Sequence[PolyInt], arity: int) -> RingDescriptor:
-    if len(xs) != arity:
+def _check_arity(xs: Sequence[PolyInt], arity: int, word: bool = False) -> RingDescriptor:
+    """The operands' one ring, once their count fits `arity`.
+
+    The count must equal `arity`, or with `word` be admissible, l*(arity-1)+1
+    for some l >= 0.  The length is checked before the rings.
+    """
+    if word:
+        if len(xs) % (arity - 1) != 1 % (arity - 1):
+            raise InadmissibleLengthError(len(xs), arity)
+    elif len(xs) != arity:
         raise ArityMismatchError(arity, len(xs))
     ring = xs[0].ring
-    for x in xs:
-        if x.ring != ring:
-            raise ValueError("operands belong to different rings")
+    if any(x.ring != ring for x in xs):
+        raise ValueError("operands belong to different rings")
     return ring
 
 
@@ -196,30 +203,32 @@ def nu(xs: Sequence[PolyInt]) -> PolyInt:
 def mu(xs: Sequence[PolyInt]) -> PolyInt:
     """n-ary multiplication: the plain integer product of exactly n representatives."""
     ring = _check_arity(xs, xs[0].ring.n)
-    prod = 1
-    for x in xs:
-        prod *= x.value
-    return ring.from_value(prod)
-
-
-def _fold(xs: Sequence[PolyInt], arity: int, op) -> PolyInt:
-    n = len(xs)
-    if n < 1 or n % (arity - 1) != 1 % (arity - 1):
-        raise InadmissibleLengthError(n, arity)
-    items = list(xs)
-    while len(items) > 1:
-        items = [op(items[:arity])] + items[arity:]
-    return items[0]
+    return ring.from_value(prod(x.value for x in xs))
 
 
 def nu_long(xs: Sequence[PolyInt]) -> PolyInt:
-    """Iterated m-ary addition of an m-admissible word (length l*(m-1)+1)."""
-    return _fold(xs, xs[0].ring.m, nu)
+    """Iterated m-ary addition of an m-admissible word (length L = l*(m-1)+1).
+
+    Every bracketing of the word into m-ary additions has the same value,
+    the plain integer sum of its L representatives: each `nu` is the plain
+    sum of its operands, and a sum of sums is the sum of all their terms.
+    That sum is in the class, since L*a = a + l*(m-1)*a = a (mod b).  So
+    the word is one sum, linear in L.
+    """
+    ring = _check_arity(xs, xs[0].ring.m, word=True)
+    return ring.from_value(sum(x.value for x in xs))
 
 
 def mu_long(xs: Sequence[PolyInt]) -> PolyInt:
-    """Iterated n-ary multiplication of an n-admissible word (length l*(n-1)+1)."""
-    return _fold(xs, xs[0].ring.n, mu)
+    """Iterated n-ary multiplication of an n-admissible word (length L = l*(n-1)+1).
+
+    As for `nu_long`, every bracketing has the plain integer product of
+    the L representatives as value, and it is in the class: a^n = a
+    (mod b) gives a^(l*(n-1)+1) = a by induction on l.  So the word is
+    one product.
+    """
+    ring = _check_arity(xs, xs[0].ring.n, word=True)
+    return ring.from_value(prod(x.value for x in xs))
 
 
 def additive_power(x: PolyInt, steps: int) -> PolyInt:

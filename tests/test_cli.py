@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -99,6 +100,19 @@ class TestExamples:
         monkeypatch.setattr("polyadic.finite.power_cycles", exhausted)
         code, out, err = run_main(capsys, command, "--a", "1", "--b", "2", "--q", "5")
         assert (code, out, err) == (4, "", "error: out of memory\n")
+
+    def test_ctrl_c_exits_130(self):
+        # The scan writes its first line at once and runs for minutes after it.
+        with subprocess.Popen(
+                [sys.executable, "-m", "polyadic.cli", "scan", "--bmax", "200", "--qmax", "200"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=RUN_ENV) as proc:
+            try:
+                assert proc.stdout.readline().startswith(b'{"a":1,"b":2,')
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err.decode()) == (130, "error: interrupted\n")
 
     def test_unwritable_out_exits_5(self, capsys, tmp_path):
         blocker = tmp_path / "file"

@@ -122,6 +122,15 @@ for abq in ((1, 2, 2**61 - 1), (3, 4, 10**18), (2, 3, 10**40 + 1)):
           characteristic(fr))
 """
 
+LONG_WORDS = """\
+import hashlib
+from polyadic.ring import make_descriptor, mu_long, nu_long
+d, e = make_descriptor(1, 2), make_descriptor(2, 3)
+total = nu_long([d.element(k) for k in range(100001)]).value
+product = mu_long([e.element(k) for k in range(20001)]).value
+print(total, product.bit_length(), hashlib.sha256(hex(product).encode()).hexdigest())
+"""
+
 ROWS = {
     # Classification walks each cycle of powers once, and the zero, the
     # field test, an element's order and its querelements are closed
@@ -164,6 +173,13 @@ ROWS = {
                "x = r(8, 10).from_value(-3072)\n"
                "print(d(x, 10**9) == d(x, 3), len(d(r(3, 4).from_value(3**41))))"), 0, 20,
         stdout="True 4486\n"),
+    # An admissible word is one sum or one product; reducing it one m- or
+    # n-ary chunk at a time copied the rest of the word at every step and
+    # took 31.9 s for the sum alone.
+    "long-words": Row(
+        ("-c", LONG_WORDS), 0, 10,
+        stdout="10000200001 288619 "
+               "9d1b04e2ea032edf1458be1a27eb3bd44f89738652109a5fb20fdfebdfc86986\n"),
     # The (a, b) pairs are generated as the scan reaches them; a list of
     # every pair with b <= 10^6 was never finished, so nothing printed.
     # The reader then goes away, which the scan reports with exit 5.

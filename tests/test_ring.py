@@ -139,6 +139,18 @@ class TestOperations:
         with pytest.raises(InadmissibleLengthError):
             nu_long([d.element(k) for k in range(6)])
 
+    @pytest.mark.parametrize("op", [nu_long, mu_long])
+    @pytest.mark.parametrize("length, error", [
+        (6, InadmissibleLengthError),  # the length is checked before the rings
+        (5, ValueError),
+    ])
+    def test_word_with_a_wrong_ring_in_last_place(self, op, length, error):
+        # [[3]]_4 has (m, n) = (5, 3): length 5 is admissible for both, 6 for neither
+        d = make_descriptor(3, 4)
+        xs = [d.element(k) for k in range(length - 1)] + [make_descriptor(1, 2).element(0)]
+        with pytest.raises(error):
+            op(xs)
+
 
 class TestPowersAndQuerelements:
     def test_binary_power_reduction(self):
