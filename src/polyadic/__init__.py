@@ -17,6 +17,7 @@ _EXPORTS = {
         "ForbiddenPairError",
         "InadmissibleLengthError",
         "NoFiniteOrderError",
+        "NoOperandsError",
         "NonUniqueQuotientError",
         "NotAFieldError",
         "NotLimitingError",

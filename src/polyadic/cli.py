@@ -7,10 +7,16 @@ stays), 5 the --out path or stdout cannot be written (closed pipe, full
 disk), 130 interrupted by Ctrl-C (SIGINT; stderr is then exactly
 `error: interrupted`).  Integers are printed in full, J included; the
 size of J is not bounded yet (ROADMAP item 3).
-Output is deterministic for a given argv: scans classify one ring at a
-time in (b, a, q) order and write each line as soon as it is made, from
-one `finite.structure_report` and, on a field, one `groups.decompose`,
-with one descriptor per (a, b).  `remainder` likewise writes each pair,
+Output is deterministic for a given argv: scans write one line per ring
+in (b, a, q) order as soon as it is made, with one descriptor per (a, b).
+A ring with gcd(b, q) = 1 is the residue ring of its (q, n) renamed
+(`finite.residue_ring`), so each residue ring is classified and, on a
+field, decomposed once (`groups.classify_residues`) and kept in a memo
+of at most `SCAN_MEMO_INDICES` indices; the line of each such ring is
+its renaming (`groups.relabelled_json`).  Every other ring, one whose
+residue ring no longer fits the memo, and one whose renamed subgroups
+tie on their least element, gets one `finite.structure_report` and, on a
+field, one `groups.decompose`.  `remainder` likewise writes each pair,
 in increasing quotient index, as the search yields it, so its memory does
 not grow with --radius.  Every JSON report and decomposition is
 written by `finite.to_json`.  The parser and the dispatch in `main` are
@@ -41,6 +47,7 @@ import argparse
 import importlib.util
 import json
 import sys
+from math import gcd
 from typing import Iterator
 
 from .errors import ForbiddenPairError, NotAFieldError, NotLimitingError, PolyadicError
@@ -246,6 +253,12 @@ def _cmd_appendix(args) -> str:
     return tables.appendix_to_md(listing)
 
 
+# The most indices, summed over its residue rings, that one scan's memo
+# holds: 24x24 needs 3,989 and 40x40 16,702.  Unbounded, the memo of
+# `scan --bmax 3 --qmax 600` took its peak RSS from 15.4 to 31.5 MB.
+SCAN_MEMO_INDICES = 2**15
+
+
 def _cmd_scan(args) -> Iterator[str]:
     # Lines are written as they are made, so no scan holds its whole output.
     if args.bmax < 1:
@@ -254,11 +267,26 @@ def _cmd_scan(args) -> Iterator[str]:
         raise ValueError("qmax must be >= 2")
     if args.qmax > finite.WALK_Q_MAX:  # checked before the first line is written
         raise ValueError(f"qmax must be <= {finite.WALK_Q_MAX}")
+    memo = {}  # (q, n) -> groups.classify_residues(q, n)
+    held = 0  # the indices of the residue rings in memo
+
+    def line(fr: finite.FiniteRing) -> str:
+        nonlocal held
+        if gcd(fr.ring.b, fr.q) == 1:
+            key = (fr.q, fr.ring.n)
+            residues = memo.get(key)
+            if residues is None and held + fr.q <= SCAN_MEMO_INDICES:
+                residues = memo[key] = groups.classify_residues(*key)
+                held += fr.q
+            if residues is not None:
+                text = groups.relabelled_json(fr, residues)
+                if text is not None:
+                    return text + "\n"
+        r = finite.structure_report(fr)
+        return finite.to_json(r, groups.decompose(r) if r.is_field else None) + "\n"
+
     rings = (make_descriptor(a, b) for a, b in grid_pairs(args.bmax))
-    reports = (finite.structure_report(finite.FiniteRing(d, q))
-               for d in rings for q in range(2, args.qmax + 1))
-    return (finite.to_json(r, groups.decompose(r) if r.is_field else None) + "\n"
-            for r in reports)
+    return (line(finite.FiniteRing(d, q)) for d in rings for q in range(2, args.qmax + 1))
 
 
 # Options as add_argument's flag and keywords.

@@ -32,6 +32,13 @@ class InadmissibleLengthError(PolyadicError):
         super().__init__(f"length {length} is not admissible for arity {arity}")
 
 
+class NoOperandsError(PolyadicError):
+    """An operation received no operands, so it has no ring to read its arity from."""
+
+    def __init__(self):
+        super().__init__("expected operands, got none")
+
+
 class ClassMembershipError(PolyadicError):
     """An integer does not belong to the congruence class it was claimed for."""
 

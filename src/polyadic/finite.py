@@ -35,7 +35,10 @@ the cycles on the report, where `groups` reads them.  The two O(q)
 loops, `power_cycles` and `find_units`, raise ValueError above
 `WALK_Q_MAX` before they allocate; the closed forms answer at any q.
 `to_json` is the one JSON writer of reports and group decompositions.
-Nothing is cached.
+A ring with gcd(b, q) = 1 is its residue ring `residue_ring(q, n)` with
+the indices renamed (the lemma there), so `relabelled_to_json` writes its
+report from the residue ring's without a walk.  Nothing is cached here:
+`cli`'s scan keeps one classified residue ring per (q, n) in its memo.
 
 `FiniteRing` and `StructureReport` are `typing.NamedTuple`s, not
 dataclasses, so that no process pays for importing `dataclasses` (see
@@ -473,36 +476,114 @@ def structure_report(fr: FiniteRing) -> StructureReport:
 def to_json(report: Optional[StructureReport] = None, group=None) -> str:
     """Compact JSON text of a report, of a `groups.GroupDecomposition`, or of both.
 
-    The report's keys come in the one fixed order written here, "a" first
-    and "element_orders" last, then the decomposition's under "group".
-    The text is `json.dumps(..., separators=(",", ":"))` of `report_to_dict`
-    and `groups.decomposition_to_dict`, which parse it; it holds integers,
-    fixed keys and None, True and False, respelled last.
+    The report's keys come in the one fixed order of `_report_json`, "a"
+    first and "element_orders" last, then the decomposition's under
+    "group".  The text is `json.dumps(..., separators=(",", ":"))` of
+    `report_to_dict` and `groups.decomposition_to_dict`, which parse it;
+    it holds integers, fixed keys and None, True and False, respelled last.
     """
-    ints = lambda xs: "[" + ",".join(map(str, xs)) + "]"
-    parts = []
+    text = None
     if report is not None:
-        r, fr, d = report, report.ring, report.ring.ring
+        r = report
         orders = ",".join([f'"{k}":{o}' for k, o in enumerate(r.element_orders)])
-        parts.append(
-            f'"a":{d.a},"b":{d.b},"m":{d.m},"n":{d.n},"I":{d.i_shape},"J":{d.j_shape},'
+        text = _report_json(r.ring, r, r.zero, r.units, r.chi_p, orders)
+    return _json(text, group)
+
+
+def report_to_dict(report: StructureReport) -> dict:
+    """Flat JSON-ready dict with the stable key order golden files rely on."""
+    return json.loads(to_json(report))
+
+
+def _report_json(fr: FiniteRing, r: StructureReport, zero: Optional[int],
+                 units: Sequence[int], chi_p: Optional[int], orders: str) -> str:
+    """The report's keys in their one order, "a" first and "element_orders" last.
+
+    fr gives the ring's numbers; zero, units, chi_p and the text of the
+    orders are given; r gives the other fields, which relabelling keeps.
+    """
+    d = fr.ring
+    return (f'"a":{d.a},"b":{d.b},"m":{d.m},"n":{d.n},"I":{d.i_shape},"J":{d.j_shape},'
             f'"q":{fr.q},"q_star":{r.q_star},"n_admissible":{r.n_admissible},'
-            f'"zero":{r.zero},"units":{ints(r.units)},"kappa_e":{r.kappa_e},'
-            f'"is_field":{r.is_field},"chi_p":{r.chi_p},"lambda_p":{r.lambda_p},'
+            f'"zero":{zero},"units":{_ints(units)},"kappa_e":{len(units)},'
+            f'"is_field":{r.is_field},"chi_p":{chi_p},"lambda_p":{r.lambda_p},'
             f'"zeroless":{r.zeroless},"nonunital":{r.nonunital},'
             f'"element_orders":{{{orders}}}')
+
+
+def _ints(xs) -> str:
+    return "[" + ",".join(map(str, xs)) + "]"
+
+
+def _json(report: Optional[str], group) -> str:
+    """The JSON object of a report's text, of a decomposition, or of both."""
+    parts = [] if report is None else [report]
     if group is not None:
         g = group
         refl = ",".join([f'"{k}":{l}' for k, l in g.reflections])
-        body = (f'"subgroups":[{",".join(map(ints, g.subgroups))}],'
-                f'"units":{ints(g.unit_subgroup)},"split":{g.unit_subgroup_split},'
-                f'"covers":{g.covers},"primitive":{ints(g.primitive_elements)},'
+        body = (f'"subgroups":[{",".join(map(_ints, g.subgroups))}],'
+                f'"units":{_ints(g.unit_subgroup)},"split":{g.unit_subgroup_split},'
+                f'"covers":{g.covers},"primitive":{_ints(g.primitive_elements)},'
                 f'"reflections":{{{refl}}}')
         parts.append(body if report is None else f'"group":{{{body}}}')
     text = "{" + ",".join(parts) + "}"
     return text.replace("None", "null").replace("True", "true").replace("False", "false")
 
 
-def report_to_dict(report: StructureReport) -> dict:
-    """Flat JSON-ready dict with the stable key order golden files rely on."""
-    return json.loads(to_json(report))
+def residue_ring(q: int, n: int) -> FiniteRing:
+    """The residues modulo q under their sum and n-ary product: [[0]]_1 with m = 2.
+
+    Lemma.  Let fr have gcd(b, q) = 1 and arity n.  Then k -> x = rep(k)
+    mod q maps fr's indices one to one onto those of residue_ring(q, n),
+    with inverse k = (x - a)*b^-1 mod q, carries fr's n-ary product onto
+    the product of residues and fr's zero to x = 0.  So the element
+    orders, the units, the field test, lambda_p, q*, n-admissibility, the
+    subgroups, the reflections and the primitive elements of fr are those
+    of the residue ring with each index x renamed to (x - a)*b^-1 mod q;
+    only chi_p, which reads m, is `characteristic(fr)`.
+
+    Proof.  As b is invertible modulo q, k -> a + b*k mod q is a bijection
+    of the indices, with the stated inverse.  The product of n indices is
+    the index of the product p of their representatives modulo b*q
+    (`k_mul`), and that index's representative is p modulo b*q, so modulo
+    q it is the product of the n residues x; in the residue ring each x
+    is its own representative (a = 0, b = 1).  The m-ary sum goes to the
+    sum of the m residues, since b*I = (m-1)*a makes
+    a + b*(k_1 + ... + k_m + I) the sum of the m representatives.  The
+    zero of fr is its index with q | rep(z) (the lemma in `find_zero`),
+    that is x = 0, which is the residue ring's zero by the same lemma at
+    b = 1.  The orders, units, subgroups, reflections and primitive
+    elements are defined by powers and products alone, and lambda_p, q*
+    and n-admissibility by the orders, the zero and n; `is_field` asks
+    whether q >= 2 and every non-zero representative is prime to q, and
+    rep(k) is prime to q exactly when x is.  chi_p counts m-ary sums of
+    a unit, and the residue ring sums two at a time.
+    """
+    return FiniteRing(RingDescriptor(0, 1, 2, n, 0, 0), q)
+
+
+def orders_template(q: int) -> str:
+    """The "element_orders" text of a ring of order q with a %s for each order."""
+    return ",".join([f'"{k}":%s' for k in range(q)])
+
+
+def relabelled_to_json(fr: FiniteRing, residue_report: StructureReport, template: str,
+                       group=None) -> str:
+    """`to_json(structure_report(fr), group)` read off the residue ring's report.
+
+    fr must have gcd(b, q) = 1, residue_report is
+    `structure_report(residue_ring(q, n))`, template is `orders_template(q)`
+    and group, if given, fr's decomposition.  By the lemma in
+    `residue_ring`, index k has the order of x = (a + b*k) mod q, fr's
+    units and zero are the residue ring's renamed by (x - a)*b^-1 mod q
+    and every other field but chi_p is the residue ring's.  It costs one
+    gather of the q orders, one format of the template, and a sort of the
+    units; it walks nothing.
+    """
+    a, b, q = fr.ring.a, fr.ring.b, fr.q
+    c = pow(b, -1, q)
+    units = sorted([(x - a) * c % q for x in residue_report.units])
+    orders = residue_report.element_orders
+    text = template % tuple([orders[(a + b * k) % q] for k in range(q)])
+    return _json(_report_json(fr, residue_report, -a * c % q, units, characteristic(fr), text),
+                 group)

@@ -13,7 +13,10 @@ reaches a unit (`_subgroups_and_reflections` proves it), so it needs no
 walk either.  The three flags of `decompose` (the split, the cover and
 disjointness) come from proofs in its docstring, so no set of covered
 indices is built.  The cost is that of reading the cycles, Θ(q) like
-the output of `decompose`.  Nothing is cached.
+the output of `decompose`.  Nothing is cached here: `classify_residues`
+classifies and decomposes a residue ring once, and `relabelled_json`
+renames it into the scan line of each ring with gcd(b, q) = 1 and that
+(q, n), which `cli`'s scan keeps in its memo.
 
 `GroupDecomposition` is a `typing.NamedTuple`, not a dataclass, so that
 no process pays for importing `dataclasses` (see `ring`): it iterates,
@@ -23,10 +26,18 @@ compares equal to a plain tuple of its fields and offers `_asdict()`.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import NotAFieldError, NoUnitsError
-from .finite import FiniteRing, StructureReport, to_json
+from .finite import (
+    FiniteRing,
+    StructureReport,
+    orders_template,
+    relabelled_to_json,
+    residue_ring,
+    structure_report,
+    to_json,
+)
 
 
 class GroupDecomposition(NamedTuple):
@@ -186,6 +197,55 @@ def decompose(report: StructureReport) -> GroupDecomposition:
         kappa_prim=len(prim),
         reflections=tuple(refl.items()),  # inserted in increasing k
     )
+
+
+class Residues(NamedTuple):
+    """A residue ring's report, its decomposition if it is a field, and its orders template."""
+
+    report: StructureReport
+    group: Optional[GroupDecomposition]
+    template: str
+
+
+def classify_residues(q: int, n: int) -> Residues:
+    """Classify and decompose `finite.residue_ring(q, n)` once, for `relabelled_json`."""
+    report = structure_report(residue_ring(q, n))
+    return Residues(report, decompose(report) if report.is_field else None, orders_template(q))
+
+
+def relabelled_json(fr: FiniteRing, residues: Residues) -> Optional[str]:
+    """The scan line of fr with gcd(b, q) = 1, `to_json` of its report and decomposition.
+
+    residues is `classify_residues(q, n)`.  By the lemma in
+    `finite.residue_ring`, fr's subgroups, units, primitive elements and
+    reflections are the residue ring's with each index x renamed to
+    (x - a)*b^-1 mod q, and its flags are the same; each renamed list is
+    sorted again, as `decompose` sorts.  Returns None when two renamed
+    subgroups share their least element: `decompose` orders those by the
+    iteration order of its candidate set (`_subgroups_and_reflections`),
+    which only its own walk reproduces.
+    """
+    report, dec, template = residues
+    group = None
+    if dec is not None:
+        a, b, q = fr.ring.a, fr.ring.b, fr.q
+        c = pow(b, -1, q)
+        label = [(x - a) * c % q for x in range(q)].__getitem__
+        subgroups = sorted([sorted(map(label, g)) for g in dec.subgroups])
+        if len({g[0] for g in subgroups}) < len(subgroups):
+            return None
+        group = GroupDecomposition(  # lists where decompose has tuples: it is only written
+            ring=fr,
+            subgroups=subgroups,
+            unit_subgroup=sorted(map(label, dec.unit_subgroup)),
+            unit_subgroup_split=dec.unit_subgroup_split,
+            covers=dec.covers,
+            pairwise_disjoint=dec.pairwise_disjoint,
+            primitive_elements=sorted(map(label, dec.primitive_elements)),
+            kappa_prim=dec.kappa_prim,
+            reflections=sorted([(label(x), l) for x, l in dec.reflections]),
+        )
+    return relabelled_to_json(fr, report, template, group)
 
 
 def decomposition_to_dict(dec: GroupDecomposition) -> dict:

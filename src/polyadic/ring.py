@@ -33,6 +33,7 @@ from .errors import (
     ClassMembershipError,
     ForbiddenPairError,
     InadmissibleLengthError,
+    NoOperandsError,
 )
 from .factor import multiplicative_order
 
@@ -177,18 +178,23 @@ def _check_residue(a: int, b: int) -> None:
         raise ValueError(f"residue must satisfy 0 <= a <= b-1, got a={a}, b={b}")
 
 
-def _check_arity(xs: Sequence[PolyInt], arity: int, word: bool = False) -> RingDescriptor:
-    """The operands' one ring, once their count fits `arity`.
+def _check_arity(xs: Sequence[PolyInt], arity: str, word: bool = False) -> RingDescriptor:
+    """The operands' one ring, once their count fits its arity `arity`, "m" or "n".
 
-    The count must equal `arity`, or with `word` be admissible, l*(arity-1)+1
-    for some l >= 0.  The length is checked before the rings.
+    The count must equal the arity, or with `word` be admissible,
+    l*(arity-1)+1 for some l >= 0.  No operands at all raise
+    NoOperandsError, as there is no ring to read the arity from.  The
+    length is checked before the rings.
     """
-    if word:
-        if len(xs) % (arity - 1) != 1 % (arity - 1):
-            raise InadmissibleLengthError(len(xs), arity)
-    elif len(xs) != arity:
-        raise ArityMismatchError(arity, len(xs))
+    if not xs:
+        raise NoOperandsError()
     ring = xs[0].ring
+    count = getattr(ring, arity)
+    if word:
+        if len(xs) % (count - 1) != 1 % (count - 1):
+            raise InadmissibleLengthError(len(xs), count)
+    elif len(xs) != count:
+        raise ArityMismatchError(count, len(xs))
     if any(x.ring != ring for x in xs):
         raise ValueError("operands belong to different rings")
     return ring
@@ -196,13 +202,13 @@ def _check_arity(xs: Sequence[PolyInt], arity: int, word: bool = False) -> RingD
 
 def nu(xs: Sequence[PolyInt]) -> PolyInt:
     """m-ary addition: the plain integer sum of exactly m representatives."""
-    ring = _check_arity(xs, xs[0].ring.m)
+    ring = _check_arity(xs, "m")
     return ring.from_value(sum(x.value for x in xs))
 
 
 def mu(xs: Sequence[PolyInt]) -> PolyInt:
     """n-ary multiplication: the plain integer product of exactly n representatives."""
-    ring = _check_arity(xs, xs[0].ring.n)
+    ring = _check_arity(xs, "n")
     return ring.from_value(prod(x.value for x in xs))
 
 
@@ -215,7 +221,7 @@ def nu_long(xs: Sequence[PolyInt]) -> PolyInt:
     That sum is in the class, since L*a = a + l*(m-1)*a = a (mod b).  So
     the word is one sum, linear in L.
     """
-    ring = _check_arity(xs, xs[0].ring.m, word=True)
+    ring = _check_arity(xs, "m", word=True)
     return ring.from_value(sum(x.value for x in xs))
 
 
@@ -227,7 +233,7 @@ def mu_long(xs: Sequence[PolyInt]) -> PolyInt:
     (mod b) gives a^(l*(n-1)+1) = a by induction on l.  So the word is
     one product.
     """
-    ring = _check_arity(xs, xs[0].ring.n, word=True)
+    ring = _check_arity(xs, "n", word=True)
     return ring.from_value(prod(x.value for x in xs))
 
 

@@ -12,6 +12,9 @@ import pytest
 from conftest import RUN_ENV
 from polyadic.cli import _cmd_scan, main
 
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")) as f:
+    SCAN_8X8_SHA256 = json.load(f)["scan_sha256"]["8x8"]
+
 
 def run_main(capsys, *argv):
     code = main(list(argv))
@@ -346,6 +349,28 @@ class TestScan:
         assert code == 0 and out == ""
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
             "62d0590a21aefd87681c8251c42362143175ac9063d518de7819dcf24811d80b")
+
+    def test_tied_subgroups_send_the_ring_to_the_walk(self, capsys, monkeypatch):
+        # Each field with q >= 3 is given two renamed subgroups that tie on
+        # index 0; its line must then come from the walk, unchanged.
+        import polyadic.groups as groups
+
+        relabelled_json, tied = groups.relabelled_json, []
+
+        def with_a_tie(fr, residues):
+            if residues.group is None or fr.q < 3:
+                return relabelled_json(fr, residues)
+            x = fr.ring.a % fr.q  # the residue of index 0
+            subgroups = tuple((x, y) for y in range(fr.q) if y != x)[:2]
+            text = relabelled_json(fr, residues._replace(
+                group=residues.group._replace(subgroups=subgroups)))
+            tied.append(text)
+            return text
+
+        monkeypatch.setattr(groups, "relabelled_json", with_a_tie)
+        code, out, _ = run_main(capsys, "scan", "--bmax", "8", "--qmax", "8")
+        assert code == 0 and len(tied) == 55 and set(tied) == {None}
+        assert hashlib.sha256(out.encode()).hexdigest() == SCAN_8X8_SHA256
 
     def test_first_line_comes_before_the_grid_is_built(self, capsys):
         # The (a, b) pairs are generated as the scan reaches them; a list of

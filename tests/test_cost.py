@@ -205,6 +205,13 @@ ROWS = {
     "divide-1000-digits": Row(
         cli("divide", "--a", "1", "--b", "4", "--dividend", str(5**1400), "--divisor", "5"), 0, 10,
         sha256="ec2641c7206dbfd92b78a1bf9c29272efaf96e1ba995005e8e04ceb1507dca18"),
+    # A tall scan, 6,365,743 bytes: its residue rings outgrow the scan's
+    # memo, which holds at most cli.SCAN_MEMO_INDICES indices.  It read
+    # 0.55 s and 17.3 MB; unbounded, the memo read 31.5 MB, and a scan
+    # without one 15.4 MB.
+    "scan-3x600": Row(
+        cli("scan", "--bmax", "3", "--qmax", "600"), 0, 10, rss_mb=20,
+        sha256="6fc65db08975edc8cd0cf29d1d77097615306024a5b90de4e102e2e93f965a9c"),
     # The published bytes under -O: the scan lines and every table file.
     "scan-24x24-O": Row(
         ("-O", *cli("scan", "--bmax", "24", "--qmax", "24")), 0, 20, sha256=SCAN_24X24_SHA256),

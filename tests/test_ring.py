@@ -11,6 +11,8 @@ from polyadic.errors import (
     ClassMembershipError,
     ForbiddenPairError,
     InadmissibleLengthError,
+    NoOperandsError,
+    PolyadicError,
 )
 from polyadic.ring import (
     additive_power,
@@ -150,6 +152,13 @@ class TestOperations:
         xs = [d.element(k) for k in range(length - 1)] + [make_descriptor(1, 2).element(0)]
         with pytest.raises(error):
             op(xs)
+
+    @pytest.mark.parametrize("op", [nu, mu, nu_long, mu_long])
+    def test_no_operands(self, op):
+        # No operand means no ring to read the arity from; xs[0] raised IndexError.
+        with pytest.raises(NoOperandsError) as err:
+            op([])
+        assert isinstance(err.value, PolyadicError)
 
 
 class TestPowersAndQuerelements:
