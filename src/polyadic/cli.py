@@ -9,36 +9,28 @@ disk), 130 interrupted by Ctrl-C (SIGINT; stderr is then exactly
 size of J is not bounded yet (ROADMAP item 3).
 Output is deterministic for a given argv: scans write one line per ring
 in (b, a, q) order as soon as it is made, with one descriptor per (a, b).
-A ring with gcd(b, q) = 1 is the residue ring of its (q, n) renamed
-(`finite.residue_ring`), so each residue ring is classified and, on a
-field, decomposed once (`groups.classify_residues`) and kept in a memo
-of at most `SCAN_MEMO_INDICES` indices; the line of each such ring is
-its renaming (`groups.relabelled_json`).  Every other ring, one whose
-residue ring no longer fits the memo, and one whose renamed subgroups
-tie on their least element, gets one `finite.structure_report` and, on a
-field, one `groups.decompose`.  `remainder` likewise writes each pair,
-in increasing quotient index, as the search yields it, so its memory does
-not grow with --radius.  Every JSON report and decomposition is
-written by `finite.to_json`.  The parser and the dispatch in `main` are
-both read from one table of commands, `_COMMANDS`.
+Every ring is the canonical ring of its key (a1, b1, q, n) renamed
+(`finite.canonical_ring`), so each line renames (`groups.renamed_json`)
+its key's classification (`groups.classify_canonical`), kept in a memo
+of at most `SCAN_MEMO_INDICES` indices while a later ring may share the
+key (`_key_recurs`); only a field whose renamed subgroups tie on their
+least element is walked again.  `remainder` writes each pair, in
+increasing quotient index, as the search yields it, so its memory does
+not grow with --radius.  `finite` writes every JSON report and
+decomposition.  The parser and the dispatch in `main` are both read from
+one table of commands, `_COMMANDS`.
 
 Importing this module registers `finite`, `groups` and `tables` in
-`sys.modules` but executes none of them: `_lazy` loads each through the
-stdlib `importlib.util.LazyLoader`, so its body first runs when a handler
-reads one of its attributes (`finite.structure_report`, ...).  Each
-command thus executes only what it runs: `arity`, `ring`, `primes`,
-`euler`, `divide` and `remainder` none of the three, `finite` and `group`
-not `tables`, and neither does `scan`, as `grid_pairs` lives in `ring`.
-Executing the three was 15.6 ms of a 32.8 ms `import polyadic.cli`
-(`-X importtime`, medians of 12, Python 3.11 without bytecode cache on a
-shared 2-core host), 8.5 ms of it `tables` and `csv`.  They are
-registered rather than imported inside the handlers so that whoever
-inspects what `import polyadic.cli` put in `sys.modules`, as the
-benchmark's traced child does to wrap its spans, still finds all three;
-reading an attribute executes the module.  A module imported before this
-one is used as it is, never replaced.  `arithmetic` is imported by the
-four handlers that use it (`primes`, `euler`, `divide`, `remainder`) and
-`reference` only by the deviations report.
+`sys.modules` but executes none of them (`_lazy`, through the stdlib
+`importlib.util.LazyLoader`): a module's body first runs when a handler
+reads one of its attributes, so each command executes only what it runs,
+and `scan` not `tables` (`grid_pairs` lives in `ring`).  Executing the
+three was 15.6 ms of a 32.8 ms `import polyadic.cli` (Python 3.11
+without bytecode cache, 8.5 ms of it `tables` and `csv`).  Registering,
+not importing inside the handlers, lets whoever inspects `sys.modules`
+after `import polyadic.cli`, as the benchmark's traced child does, find
+all three; a module imported before this one is kept.  `arithmetic` is
+imported by its four handlers and `reference` by the deviations report.
 """
 
 from __future__ import annotations
@@ -253,10 +245,24 @@ def _cmd_appendix(args) -> str:
     return tables.appendix_to_md(listing)
 
 
-# The most indices, summed over its residue rings, that one scan's memo
-# holds: 24x24 needs 3,989 and 40x40 16,702.  Unbounded, the memo of
-# `scan --bmax 3 --qmax 600` took its peak RSS from 15.4 to 31.5 MB.
-SCAN_MEMO_INDICES = 2**15
+# The most indices, summed over its canonical rings, that one scan's memo holds: 24x24
+# keeps 9,836 and 40x40 51,319; at 2^15, 40x40 classified 8,013 canonical rings, not
+# 4,431.  `scan --bmax 3 --qmax 600` fills it and read 17.5 MB, 16.2 MB at 2^15.
+SCAN_MEMO_INDICES = 2**16
+
+
+def _key_recurs(a: int, b: int, q: int, b1: int, bmax: int) -> bool:
+    """Whether a later ring of a scan to bmax may share the canonical key of (a, b, q).
+
+    It is an allowed a' > a with a' = a (mod b1) in the row of b, or a ring in a row
+    b1*t <= bmax with t > b/b1 prime to q (`finite.canonical_ring`); n is not read.
+    """
+    t = b // b1 + 1
+    while gcd(t, q) > 1:
+        t += 1
+    # x is an allowed residue of b when gcd(x, b / gcd(x, b)) = 1 (`ring.allowed_residues`).
+    return b1 == 1 or b1 * t <= bmax or any(gcd(x, b // gcd(x, b)) == 1
+                                            for x in range(a + b1, b, b1))
 
 
 def _cmd_scan(args) -> Iterator[str]:
@@ -267,23 +273,21 @@ def _cmd_scan(args) -> Iterator[str]:
         raise ValueError("qmax must be >= 2")
     if args.qmax > finite.WALK_Q_MAX:  # checked before the first line is written
         raise ValueError(f"qmax must be <= {finite.WALK_Q_MAX}")
-    memo = {}  # (q, n) -> groups.classify_residues(q, n)
-    held = 0  # the indices of the residue rings in memo
+    memo = {}  # (a1, b1, q, n) -> groups.classify_canonical of that canonical ring
+    orders = {}  # q -> finite.orders_template(q), for each q in memo
+    held = 0  # the indices of the canonical rings in memo
 
     def line(fr: finite.FiniteRing) -> str:
         nonlocal held
-        if gcd(fr.ring.b, fr.q) == 1:
-            key = (fr.q, fr.ring.n)
-            residues = memo.get(key)
-            if residues is None and held + fr.q <= SCAN_MEMO_INDICES:
-                residues = memo[key] = groups.classify_residues(*key)
-                held += fr.q
-            if residues is not None:
-                text = groups.relabelled_json(fr, residues)
-                if text is not None:
-                    return text + "\n"
-        r = finite.structure_report(fr)
-        return finite.to_json(r, groups.decompose(r) if r.is_field else None) + "\n"
+        q, template = fr.q, orders.get(fr.q) or finite.orders_template(fr.q)
+        a1, b1, b2, shift = finite.canonical_label(fr)
+        entry = memo.get(key := (a1, b1, q, fr.ring.n))
+        if entry is None:
+            entry = groups.classify_canonical(finite.canonical_ring(fr)[0])
+            if held + q <= SCAN_MEMO_INDICES and _key_recurs(*fr.ring[:2], q, b1, args.bmax):
+                memo[key], orders[q] = entry, template
+                held += q
+        return groups.renamed_json(fr, entry, b2, shift, template) + "\n"
 
     rings = (make_descriptor(a, b) for a, b in grid_pairs(args.bmax))
     return (line(finite.FiniteRing(d, q)) for d in rings for q in range(2, args.qmax + 1))

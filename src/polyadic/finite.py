@@ -8,21 +8,13 @@ classifies those rings: zero, units, field property, polyadic
 characteristic, idempotence orders, and the JSON text of a report.
 
 Each question about one ring or one element is a proved closed form,
-with the proof in its docstring, and none loops over the q indices:
-
-- the zero solves a linear congruence modulo q, so at most
-  gcd(m-1, q) candidates are tested (`find_zero`);
-- the field test is a few gcds and one primality test of q, and needs
-  no zero: at q = 1 the one index is the zero, by the lemma in
-  `find_zero` (`is_field`);
-- an element's idempotence order is a multiplicative order modulo a
-  divisor of b*q, which costs the factorisation of b*q and of its
-  exponent (`element_order`);
-- the multiplicative querelements solve one linear congruence
-  (`mult_querelements`);
-- the characteristic needs gcd(b, q) = 1, under which the zero exists
-  (the lemma in `find_zero`), and one linear congruence modulo q, and
-  searches for no zero and no unit (`characteristic`).
+with the proof in its docstring, and none loops over the q indices: the
+zero tests at most gcd(m-1, q) solutions of a linear congruence
+(`find_zero`), the field test is a few gcds and one primality test
+(`is_field`), an element's order is a multiplicative order modulo a
+divisor of b*q (`element_order`), and the querelements and the
+characteristic solve one linear congruence each (`mult_querelements`,
+`characteristic`).
 
 The units (`find_units`) and the order of every element cost O(q).
 One `power_cycles` pass gives the cycles of powers and every order
@@ -34,11 +26,11 @@ that pass once, O(q) even for the six lines of text `finite`, and keeps
 the cycles on the report, where `groups` reads them.  The two O(q)
 loops, `power_cycles` and `find_units`, raise ValueError above
 `WALK_Q_MAX` before they allocate; the closed forms answer at any q.
-`to_json` is the one JSON writer of reports and group decompositions.
-A ring with gcd(b, q) = 1 is its residue ring `residue_ring(q, n)` with
-the indices renamed (the lemma there), so `relabelled_to_json` writes its
-report from the residue ring's without a walk.  Nothing is cached here:
-`cli`'s scan keeps one classified residue ring per (q, n) in its memo.
+`to_json` writes reports and group decompositions, and `_report_json`
+alone spells a report's keys.  Every ring is its canonical ring
+[[a1]]_b1, b1 = gcd(b, q^inf), with its indices renamed by an affine
+label (`canonical_ring`), so `groups.renamed_json` writes any ring's
+report from its canonical ring's.  Nothing is cached here.
 
 `FiniteRing` and `StructureReport` are `typing.NamedTuple`s, not
 dataclasses, so that no process pays for importing `dataclasses` (see
@@ -402,6 +394,49 @@ def characteristic(fr: FiniteRing) -> Optional[int]:
     return (solutions[0] or solutions.step) if solutions else None
 
 
+def canonical_ring(fr: FiniteRing) -> tuple[FiniteRing, int, int]:
+    """fr's canonical ring [[a1]]_b1 of order q, and the label (b2, shift) of fr's indices on it.
+
+    Split b = b1*b2 with b1 = gcd(b, q^inf), so that b2 is prime to q,
+    and let a1 = a mod b1: the canonical ring is [[a1]]_b1 of order q with
+    fr's own m and n, the residues modulo q ([[0]]_1) when gcd(b, q) = 1.
+    The label sends index k to b2*k + shift (mod q), shift = (a - a1)/b1;
+    b2 and shift are returned modulo q, b2 = 1 at q = 1.
+
+    Lemma.  The label is an isomorphism of (m, n)-rings.  So the orders,
+    the zero, the units, the field test, lambda_p, q*, n-admissibility,
+    the subgroups, the reflections and the primitive elements of fr are
+    the canonical ring's, each index x renamed to (x - shift)*b2^-1 mod q.
+    Only chi_p reads m (`characteristic`), so rings with one key
+    (a1, b1, q, n) share every other field.
+
+    Proof sketch.  rep(k) = a + b*k = a1 + b1*(b2*k + shift), which is
+    the representative of the label modulo b1*q.  As b2 is prime to b1*q,
+    Z/bq = Z/b1q x Z/b2.  Modulo b2, every representative is a, every
+    n-ary product is a^n = a and every m-ary sum is m*a = a, as
+    (m-1)*a = 0 (mod b).  So the index of a product or a sum is fixed by
+    its residue modulo b1*q, where it is the canonical ring's product or
+    sum of the labels.  The label is a bijection, as b2 is invertible
+    modulo q.  Of the fields above only the zero is defined with m, and it
+    is the one absorbing index, since absorption alone makes (m-1)*z + I
+    = 0 (mod q): with h as in `find_zero`, h | b and a is invertible
+    modulo h, so (m-1)*a = 0 (mod b) gives h | m - 1, and then b*q
+    divides (m-1)*rep(z) = b*((m-1)*z + I).
+    """
+    a1, b1, b2, shift = canonical_label(fr)
+    d = fr.ring
+    canon = RingDescriptor(a1, b1, d.m, d.n, (d.m - 1) * a1 // b1, (a1**d.n - a1) // b1)
+    return FiniteRing(canon, fr.q), b2, shift
+
+
+def canonical_label(fr: FiniteRing) -> tuple[int, int, int, int]:
+    """(a1, b1, b2, shift) of `canonical_ring`, without building the ring."""
+    b2 = _coprime_part(fr.ring.b, fr.q)
+    b1 = fr.ring.b // b2
+    a1 = fr.ring.a % b1
+    return a1, b1, b2 % fr.q or 1, (fr.ring.a - a1) // b1 % fr.q
+
+
 class StructureReport(NamedTuple):
     """Classification of one finite ring.
 
@@ -476,18 +511,22 @@ def structure_report(fr: FiniteRing) -> StructureReport:
 def to_json(report: Optional[StructureReport] = None, group=None) -> str:
     """Compact JSON text of a report, of a `groups.GroupDecomposition`, or of both.
 
-    The report's keys come in the one fixed order of `_report_json`, "a"
-    first and "element_orders" last, then the decomposition's under
-    "group".  The text is `json.dumps(..., separators=(",", ":"))` of
-    `report_to_dict` and `groups.decomposition_to_dict`, which parse it;
-    it holds integers, fixed keys and None, True and False, respelled last.
+    The keys come in the orders of `_report_json` and `_group_json`, the
+    decomposition's under "group"; the text is `json.dumps(...,
+    separators=(",", ":"))` of `report_to_dict` and
+    `groups.decomposition_to_dict`, None, True and False respelled last.
     """
-    text = None
-    if report is not None:
-        r = report
-        orders = ",".join([f'"{k}":{o}' for k, o in enumerate(r.element_orders)])
-        text = _report_json(r.ring, r, r.zero, r.units, r.chi_p, orders)
-    return _json(text, group)
+    parts, r, g = [], report, group
+    if r is not None:
+        parts.append(_report_json(r.ring, r, r.zero, _ints(r.units), r.chi_p,
+                                  orders_template(r.ring.q) % r.element_orders))
+    if g is not None:
+        body = _group_json("[" + ",".join(map(_ints, g.subgroups)) + "]", _ints(g.unit_subgroup),
+                           g.unit_subgroup_split, g.covers, _ints(g.primitive_elements),
+                           ",".join([f'"{k}":{l}' for k, l in g.reflections]))
+        parts.append(body if r is None else f'"group":{{{body}}}')
+    text = "{" + ",".join(parts) + "}"
+    return text.replace("None", "null").replace("True", "true").replace("False", "false")
 
 
 def report_to_dict(report: StructureReport) -> dict:
@@ -495,95 +534,31 @@ def report_to_dict(report: StructureReport) -> dict:
     return json.loads(to_json(report))
 
 
-def _report_json(fr: FiniteRing, r: StructureReport, zero: Optional[int],
-                 units: Sequence[int], chi_p: Optional[int], orders: str) -> str:
+def orders_template(q: int) -> str:
+    """The "element_orders" text of a ring of order q with a %s for each order."""
+    return ('"%d":%%s,' * q % tuple(range(q)))[:-1]
+
+
+def _report_json(fr: FiniteRing, r, zero, units: str, chi_p, orders: str) -> str:
     """The report's keys in their one order, "a" first and "element_orders" last.
 
-    fr gives the ring's numbers; zero, units, chi_p and the text of the
-    orders are given; r gives the other fields, which relabelling keeps.
+    fr gives the ring's numbers, r the fields that renaming keeps (a `StructureReport` or a
+    spelled `groups.Canonical`); zero, chi_p and the texts of the units and orders are given.
     """
     d = fr.ring
     return (f'"a":{d.a},"b":{d.b},"m":{d.m},"n":{d.n},"I":{d.i_shape},"J":{d.j_shape},'
             f'"q":{fr.q},"q_star":{r.q_star},"n_admissible":{r.n_admissible},'
-            f'"zero":{zero},"units":{_ints(units)},"kappa_e":{len(units)},'
+            f'"zero":{zero},"units":{units},"kappa_e":{r.kappa_e},'
             f'"is_field":{r.is_field},"chi_p":{chi_p},"lambda_p":{r.lambda_p},'
             f'"zeroless":{r.zeroless},"nonunital":{r.nonunital},'
             f'"element_orders":{{{orders}}}')
 
 
+def _group_json(subgroups: str, units: str, split, covers, primitive: str, reflections: str):
+    """A decomposition's keys in their one order."""
+    return (f'"subgroups":{subgroups},"units":{units},"split":{split},"covers":{covers},'
+            f'"primitive":{primitive},"reflections":{{{reflections}}}')
+
+
 def _ints(xs) -> str:
     return "[" + ",".join(map(str, xs)) + "]"
-
-
-def _json(report: Optional[str], group) -> str:
-    """The JSON object of a report's text, of a decomposition, or of both."""
-    parts = [] if report is None else [report]
-    if group is not None:
-        g = group
-        refl = ",".join([f'"{k}":{l}' for k, l in g.reflections])
-        body = (f'"subgroups":[{",".join(map(_ints, g.subgroups))}],'
-                f'"units":{_ints(g.unit_subgroup)},"split":{g.unit_subgroup_split},'
-                f'"covers":{g.covers},"primitive":{_ints(g.primitive_elements)},'
-                f'"reflections":{{{refl}}}')
-        parts.append(body if report is None else f'"group":{{{body}}}')
-    text = "{" + ",".join(parts) + "}"
-    return text.replace("None", "null").replace("True", "true").replace("False", "false")
-
-
-def residue_ring(q: int, n: int) -> FiniteRing:
-    """The residues modulo q under their sum and n-ary product: [[0]]_1 with m = 2.
-
-    Lemma.  Let fr have gcd(b, q) = 1 and arity n.  Then k -> x = rep(k)
-    mod q maps fr's indices one to one onto those of residue_ring(q, n),
-    with inverse k = (x - a)*b^-1 mod q, carries fr's n-ary product onto
-    the product of residues and fr's zero to x = 0.  So the element
-    orders, the units, the field test, lambda_p, q*, n-admissibility, the
-    subgroups, the reflections and the primitive elements of fr are those
-    of the residue ring with each index x renamed to (x - a)*b^-1 mod q;
-    only chi_p, which reads m, is `characteristic(fr)`.
-
-    Proof.  As b is invertible modulo q, k -> a + b*k mod q is a bijection
-    of the indices, with the stated inverse.  The product of n indices is
-    the index of the product p of their representatives modulo b*q
-    (`k_mul`), and that index's representative is p modulo b*q, so modulo
-    q it is the product of the n residues x; in the residue ring each x
-    is its own representative (a = 0, b = 1).  The m-ary sum goes to the
-    sum of the m residues, since b*I = (m-1)*a makes
-    a + b*(k_1 + ... + k_m + I) the sum of the m representatives.  The
-    zero of fr is its index with q | rep(z) (the lemma in `find_zero`),
-    that is x = 0, which is the residue ring's zero by the same lemma at
-    b = 1.  The orders, units, subgroups, reflections and primitive
-    elements are defined by powers and products alone, and lambda_p, q*
-    and n-admissibility by the orders, the zero and n; `is_field` asks
-    whether q >= 2 and every non-zero representative is prime to q, and
-    rep(k) is prime to q exactly when x is.  chi_p counts m-ary sums of
-    a unit, and the residue ring sums two at a time.
-    """
-    return FiniteRing(RingDescriptor(0, 1, 2, n, 0, 0), q)
-
-
-def orders_template(q: int) -> str:
-    """The "element_orders" text of a ring of order q with a %s for each order."""
-    return ",".join([f'"{k}":%s' for k in range(q)])
-
-
-def relabelled_to_json(fr: FiniteRing, residue_report: StructureReport, template: str,
-                       group=None) -> str:
-    """`to_json(structure_report(fr), group)` read off the residue ring's report.
-
-    fr must have gcd(b, q) = 1, residue_report is
-    `structure_report(residue_ring(q, n))`, template is `orders_template(q)`
-    and group, if given, fr's decomposition.  By the lemma in
-    `residue_ring`, index k has the order of x = (a + b*k) mod q, fr's
-    units and zero are the residue ring's renamed by (x - a)*b^-1 mod q
-    and every other field but chi_p is the residue ring's.  It costs one
-    gather of the q orders, one format of the template, and a sort of the
-    units; it walks nothing.
-    """
-    a, b, q = fr.ring.a, fr.ring.b, fr.q
-    c = pow(b, -1, q)
-    units = sorted([(x - a) * c % q for x in residue_report.units])
-    orders = residue_report.element_orders
-    text = template % tuple([orders[(a + b * k) % q] for k in range(q)])
-    return _json(_report_json(fr, residue_report, -a * c % q, units, characteristic(fr), text),
-                 group)

@@ -13,10 +13,8 @@ reaches a unit (`_subgroups_and_reflections` proves it), so it needs no
 walk either.  The three flags of `decompose` (the split, the cover and
 disjointness) come from proofs in its docstring, so no set of covered
 indices is built.  The cost is that of reading the cycles, Θ(q) like
-the output of `decompose`.  Nothing is cached here: `classify_residues`
-classifies and decomposes a residue ring once, and `relabelled_json`
-renames it into the scan line of each ring with gcd(b, q) = 1 and that
-(q, n), which `cli`'s scan keeps in its memo.
+the output of `decompose`.  Nothing is cached here: `classify_canonical`
+keeps what `renamed_json` needs to write any ring from its canonical one.
 
 `GroupDecomposition` is a `typing.NamedTuple`, not a dataclass, so that
 no process pays for importing `dataclasses` (see `ring`): it iterates,
@@ -32,9 +30,10 @@ from .errors import NotAFieldError, NoUnitsError
 from .finite import (
     FiniteRing,
     StructureReport,
-    orders_template,
-    relabelled_to_json,
-    residue_ring,
+    _group_json,
+    _ints,
+    _report_json,
+    characteristic,
     structure_report,
     to_json,
 )
@@ -199,53 +198,75 @@ def decompose(report: StructureReport) -> GroupDecomposition:
     )
 
 
-class Residues(NamedTuple):
-    """A residue ring's report, its decomposition if it is a field, and its orders template."""
+class Canonical(NamedTuple):
+    """Of a canonical ring's classification, what the lines renamed from it need, spelled once.
 
-    report: StructureReport
-    group: Optional[GroupDecomposition]
-    template: str
-
-
-def classify_residues(q: int, n: int) -> Residues:
-    """Classify and decompose `finite.residue_ring(q, n)` once, for `relabelled_json`."""
-    report = structure_report(residue_ring(q, n))
-    return Residues(report, decompose(report) if report.is_field else None, orders_template(q))
-
-
-def relabelled_json(fr: FiniteRing, residues: Residues) -> Optional[str]:
-    """The scan line of fr with gcd(b, q) = 1, `to_json` of its report and decomposition.
-
-    residues is `classify_residues(q, n)`.  By the lemma in
-    `finite.residue_ring`, fr's subgroups, units, primitive elements and
-    reflections are the residue ring's with each index x renamed to
-    (x - a)*b^-1 mod q, and its flags are the same; each renamed list is
-    sorted again, as `decompose` sorts.  Returns None when two renamed
-    subgroups share their least element: `decompose` orders those by the
-    iteration order of its candidate set (`_subgroups_and_reflections`),
-    which only its own walk reproduces.
+    On a field, group holds the subgroups, the primitive elements, each
+    index's reflection length (0 for none), the split and the cover.
     """
-    report, dec, template = residues
-    group = None
-    if dec is not None:
-        a, b, q = fr.ring.a, fr.ring.b, fr.q
-        c = pow(b, -1, q)
-        label = [(x - a) * c % q for x in range(q)].__getitem__
-        subgroups = sorted([sorted(map(label, g)) for g in dec.subgroups])
-        if len({g[0] for g in subgroups}) < len(subgroups):
-            return None
-        group = GroupDecomposition(  # lists where decompose has tuples: it is only written
-            ring=fr,
-            subgroups=subgroups,
-            unit_subgroup=sorted(map(label, dec.unit_subgroup)),
-            unit_subgroup_split=dec.unit_subgroup_split,
-            covers=dec.covers,
-            pairwise_disjoint=dec.pairwise_disjoint,
-            primitive_elements=sorted(map(label, dec.primitive_elements)),
-            kappa_prim=dec.kappa_prim,
-            reflections=sorted([(label(x), l) for x, l in dec.reflections]),
-        )
-    return relabelled_to_json(fr, report, template, group)
+
+    orders: list
+    zero: Optional[int]
+    units: tuple[int, ...]
+    q_star: int
+    kappa_e: int
+    lambda_p: object
+    n_admissible: str
+    is_field: str
+    zeroless: str
+    nonunital: str
+    group: Optional[tuple]
+
+
+def classify_canonical(canon: FiniteRing) -> Canonical:
+    """Classify and, on a field, decompose a canonical ring once, for `renamed_json`."""
+    r, group = structure_report(canon), None
+    if r.is_field:
+        d = decompose(r)
+        refl = dict(d.reflections)
+        group = (d.subgroups, d.primitive_elements, [refl.get(k, 0) for k in range(canon.q)],
+                 str(d.unit_subgroup_split).lower(), str(d.covers).lower())
+    flags = [str(f).lower() for f in (r.n_admissible, r.is_field, r.zeroless, r.nonunital)]
+    return Canonical([o if o is not None else "null" for o in r.element_orders], r.zero, r.units,
+                     r.q_star, r.kappa_e, r.lambda_p or "null", *flags, group)
+
+
+def renamed_json(fr: FiniteRing, canonical: Canonical, b2: int, shift: int, orders: str) -> str:
+    """The scan line of fr, `to_json` of its report and decomposition, read off its canonical ring.
+
+    canonical is `classify_canonical` of fr's canonical ring, (b2, shift) fr's
+    label on it and orders `finite.orders_template(q)`.  By the lemma in
+    `finite.canonical_ring`, index k has the order of its label, and fr's zero,
+    units, subgroups, primitive elements and reflections are the canonical
+    ring's with each x renamed to (x - shift)*b2^-1 mod q, sorted again; chi_p
+    is `finite.characteristic(fr)`.  Subgroups that share their least element
+    are ordered by `decompose`'s candidate set, so fr's own walk writes those.
+    """
+    q, c = fr.q, pow(b2, -1, fr.q)
+    zero = "null" if canonical.zero is None else (canonical.zero - shift) * c % q
+    units = str(sorted([(x - shift) * c % q for x in canonical.units])).replace(" ", "")
+    chi_p = characteristic(fr) or "null"  # chi_p is >= 1 or None, as lambda_p is
+    text = "{" + _report_json(fr, canonical, zero, units, chi_p,
+                              orders % tuple(_gather(canonical.orders, b2, shift)))
+    if canonical.group is None:
+        return text + "}"
+    subgroups, primitive, lengths, split, covers = canonical.group
+    name = _gather(list(range(q)), c, -c * shift % q).__getitem__
+    subgroups = sorted([sorted(map(name, g)) for g in subgroups])
+    if len({g[0] for g in subgroups}) < len(subgroups):
+        report = structure_report(fr)
+        return to_json(report, decompose(report))
+    refl = ",".join([f'"{k}":{l}' for k, l in enumerate(_gather(lengths, b2, shift)) if l])
+    return text + ',"group":{%s}}' % _group_json(str(subgroups).replace(" ", ""), units, split,
+                                                 covers, _ints(sorted(map(name, primitive))), refl)
+
+
+def _gather(xs: list, step: int, shift: int) -> list:
+    """[xs[(step*k + shift) % q] for k in range(q)], q = len(xs), as one slice of xs repeated."""
+    q = len(xs)
+    if (step + 1) * q <= 1 << 16:  # the repeat's places; past them, a comprehension
+        return (xs * (step + 1))[shift:shift + step * q:step]
+    return [xs[(step * k + shift) % q] for k in range(q)]
 
 
 def decomposition_to_dict(dec: GroupDecomposition) -> dict:

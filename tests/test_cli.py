@@ -10,7 +10,7 @@ from argparse import Namespace
 import pytest
 
 from conftest import RUN_ENV
-from polyadic.cli import _cmd_scan, main
+from polyadic.cli import _cmd_scan, _key_recurs, main
 
 with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")) as f:
     SCAN_8X8_SHA256 = json.load(f)["scan_sha256"]["8x8"]
@@ -352,25 +352,66 @@ class TestScan:
 
     def test_tied_subgroups_send_the_ring_to_the_walk(self, capsys, monkeypatch):
         # Each field with q >= 3 is given two renamed subgroups that tie on
-        # index 0; its line must then come from the walk, unchanged.
+        # index 0, whose label is shift; its line must then come from its
+        # own walk, unchanged.
         import polyadic.groups as groups
 
-        relabelled_json, tied = groups.relabelled_json, []
+        renamed_json, structure_report, walked, tied = (
+            groups.renamed_json, groups.structure_report, [], [])
 
-        def with_a_tie(fr, residues):
-            if residues.group is None or fr.q < 3:
-                return relabelled_json(fr, residues)
-            x = fr.ring.a % fr.q  # the residue of index 0
-            subgroups = tuple((x, y) for y in range(fr.q) if y != x)[:2]
-            text = relabelled_json(fr, residues._replace(
-                group=residues.group._replace(subgroups=subgroups)))
-            tied.append(text)
+        def with_a_tie(fr, canonical, b2, shift, orders):
+            if canonical.group is None or fr.q < 3:
+                return renamed_json(fr, canonical, b2, shift, orders)
+            subgroups = tuple((shift, y) for y in range(fr.q) if y != shift)[:2]
+            walked.clear()
+            text = renamed_json(fr, canonical._replace(group=(subgroups, *canonical.group[1:])),
+                                b2, shift, orders)
+            tied.append(walked == [fr])
             return text
 
-        monkeypatch.setattr(groups, "relabelled_json", with_a_tie)
+        monkeypatch.setattr(groups, "renamed_json", with_a_tie)
+        monkeypatch.setattr(groups, "structure_report",
+                            lambda fr: walked.append(fr) or structure_report(fr))
         code, out, _ = run_main(capsys, "scan", "--bmax", "8", "--qmax", "8")
-        assert code == 0 and len(tied) == 55 and set(tied) == {None}
+        assert code == 0 and len(tied) == 93 and all(tied)
         assert hashlib.sha256(out.encode()).hexdigest() == SCAN_8X8_SHA256
+
+    def test_each_canonical_ring_is_classified_once(self, capsys, monkeypatch):
+        # No digest sees the scan's work.  Scan 24x24 classifies each of its
+        # 1,297 canonical rings once and walks the 48 fields whose renamed
+        # subgroups tie; one line per ring made 2,448 calls, and 5,566 before.
+        import polyadic.finite as finite
+
+        structure_report, calls = finite.structure_report, []
+
+        def counting(fr):
+            calls.append(fr)
+            return structure_report(fr)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "structure_report", None) is structure_report:
+                monkeypatch.setattr(module, "structure_report", counting)
+        code, out, _ = run_main(capsys, "scan", "--bmax", "24", "--qmax", "24")
+        assert code == 0 and out.count("\n") == 5566 and len(calls) == 1345
+
+    def test_the_memo_keeps_every_key_that_recurs(self):
+        # Brute force: count each canonical key's rings on the 24x24 grid;
+        # the memo's rule, which reads neither n nor the count, must keep
+        # every key used twice or more.
+        from polyadic.finite import FiniteRing, canonical_label
+        from polyadic.ring import grid_pairs, make_descriptor
+
+        uses, first = {}, {}
+        for a, b in grid_pairs(24):
+            d = make_descriptor(a, b)
+            for q in range(2, 25):
+                a1, b1, _, _ = canonical_label(FiniteRing(d, q))
+                key = (a1, b1, q, d.n)
+                uses[key] = uses.get(key, 0) + 1
+                first.setdefault(key, (a, b, q, b1, 24))
+        kept = {key for key, ring in first.items() if _key_recurs(*ring)}
+        assert {key for key, count in uses.items() if count > 1} <= kept
+        assert (len(uses), len(kept), sum(key[2] for key in kept)) == (1297, 774, 9836)
 
     def test_first_line_comes_before_the_grid_is_built(self, capsys):
         # The (a, b) pairs are generated as the scan reaches them; a list of

@@ -9,15 +9,23 @@ import pytest
 import polyadic.finite
 from conftest import scan_rings
 from polyadic.errors import NotAFieldError, NoUnitsError
-from polyadic.finite import finite_ring, is_field, k_mul, structure_report, to_json
+from polyadic.finite import (
+    canonical_ring,
+    finite_ring,
+    is_field,
+    k_mul,
+    orders_template,
+    structure_report,
+    to_json,
+)
 from polyadic.groups import (
-    classify_residues,
+    classify_canonical,
     cyclic_subgroup,
     decompose,
     decomposition_to_dict,
     primitive_elements,
     reflections,
-    relabelled_json,
+    renamed_json,
 )
 from polyadic.oracle import oracle_power_walk, oracle_units
 from polyadic.ring import allowed_residues, grid_pairs
@@ -251,56 +259,93 @@ def walk_line(fr):
     return to_json(report, decompose(report) if report.is_field else None)
 
 
-def relabelled_line(fr, memo):
-    """The scan line of fr read off its residue ring, classified once per (q, n) in memo."""
-    key = (fr.q, fr.ring.n)
+def canonical_entry(fr, memo):
+    """fr's canonical entry, classified once per key in memo, and fr's label on it."""
+    canon, b2, shift = canonical_ring(fr)
+    key = (canon.ring.a, canon.ring.b, fr.q, fr.ring.n)
     if key not in memo:
-        memo[key] = classify_residues(*key)
-    return relabelled_json(fr, memo[key])
+        memo[key] = classify_canonical(canon)
+    return memo[key], b2, shift
 
 
-def coprime_rings(b_max, q_max):
-    """Every ring with gcd(b, q) = 1 and b, q <= the bounds, the binary limit and q = 1 included."""
-    return [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(b_max)]
-            for q in range(1, q_max + 1) if gcd(b, q) == 1]
+def renamed_line(fr, memo):
+    """The scan line of fr renamed from its canonical ring."""
+    return renamed_json(fr, *canonical_entry(fr, memo), orders_template(fr.q))
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The rings that `groups` classifies from here on."""
+    import polyadic.groups
+
+    calls, walk = [], polyadic.groups.structure_report
+    monkeypatch.setattr(polyadic.groups, "structure_report", lambda fr: calls.append(fr) or walk(fr))
+    return calls
+
+
+def agrees_with_the_walk(fr, memo, walks):
+    """The renamed line is the walk's, and fr is walked exactly when its subgroups tie.
+
+    Returns whether fr is a field whose subgroups tie on their least element.
+    """
+    entry, b2, shift = canonical_entry(fr, memo)
+    walks.clear()
+    line, walk = renamed_json(fr, entry, b2, shift, orders_template(fr.q)), walk_line(fr)
+    firsts = [g[0] for g in json.loads(walk).get("group", {"subgroups": []})["subgroups"]]
+    tie = len(set(firsts)) < len(firsts)
+    assert line == walk and walks == [fr] * tie, fr
+    return tie
 
 
 class TestRelabelling:
-    """A ring with gcd(b, q) = 1 is its residue ring renamed (`finite.residue_ring`)."""
+    """Every ring is its canonical ring renamed (`finite.canonical_ring`)."""
 
-    def test_lines_agree_with_the_walk_up_to_16(self):
-        rings, memo = coprime_rings(16, 16), {}
-        assert (len(rings), sum(map(is_field, rings))) == (1026, 477)
-        for fr in rings:
-            assert relabelled_line(fr, memo) == walk_line(fr), fr
+    def test_lines_agree_with_the_walk_up_to_16(self, walks):
+        rings = [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(16)] for q in range(1, 17)]
+        memo = {}
+        ties = sum(agrees_with_the_walk(fr, memo, walks) for fr in rings)
+        assert (len(rings), sum(map(is_field, rings)), len(memo), ties) == (1680, 771, 512, 19)
 
-    def test_lines_agree_with_the_walk_on_a_sample_up_to_200(self):
-        rng, memo, fields = random.Random(30), {}, 0
+    def test_lines_agree_with_the_walk_on_a_sample_up_to_200(self, walks):
+        rng, memo, fields, ties = random.Random(31), {}, 0, 0
         for _ in range(2000):
             b = rng.randint(2, 200)
             a = rng.choice(allowed_residues(b))
-            q = rng.choice([q for q in range(1, 201) if gcd(b, q) == 1])
+            q = rng.choice([q for q in range(2, 201) if gcd(b, q) > 1])
             fr = finite_ring(a, b, q)
-            assert relabelled_line(fr, memo) == walk_line(fr), fr
+            ties += agrees_with_the_walk(fr, memo, walks)
             fields += is_field(fr)
-        assert fields == 865
+        assert (fields, len(memo), ties) == (428, 1940, 1)
+
+    def test_a_long_label_step_is_gathered_without_the_repeated_list(self, walks):
+        # [[1]]_306 of order 307 has b2 = 306 and b2^-1 = 306: repeating the
+        # 307 orders 307 times would pass 2^16 places, so `groups._gather`
+        # takes its comprehension for the orders, the names and the lengths.
+        fr = finite_ring(1, 306, 307)
+        assert canonical_ring(fr)[1:] == (306, 1) and is_field(fr)
+        assert not agrees_with_the_walk(fr, {}, walks)
 
     def test_orders_and_units_agree_with_the_oracle_up_to_12(self):
         memo = {}
-        for fr in coprime_rings(12, 12):
-            line = json.loads(relabelled_line(fr, memo))
+        for fr in [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(12)] for q in range(1, 13)]:
+            line = json.loads(renamed_line(fr, memo))
             walks = [oracle_power_walk(fr, k) for k in fr.elements()]
             assert list(line["element_orders"].values()) == [
                 len(w) - 1 if w[-1] == w[0] else None for w in walks], fr
             assert tuple(line["units"]) == oracle_units(fr), fr
 
-    def test_subgroups_tied_on_their_least_element_are_left_to_the_walk(self):
+    def test_subgroups_tied_on_their_least_element_are_left_to_the_walk(self, walks):
         # decompose orders subgroups with the same least element by the
         # iteration order of its candidate set, which renaming cannot
-        # reproduce: such a ring must take the walk.  No prime field has
-        # shown a tie yet, so the tie is made here, on [[2]]_3 at q = 7.
-        fr = finite_ring(2, 3, 7)  # index 0 has residue 2
-        residues = classify_residues(7, fr.ring.n)
-        assert relabelled_json(fr, residues) == walk_line(fr)
-        tied = residues._replace(group=residues.group._replace(subgroups=((2, 3), (2, 5))))
-        assert relabelled_json(fr, tied) is None
+        # reproduce: such a ring must take the walk.  The tie is made here,
+        # on [[2]]_3 at q = 7, whose index 0 has label 2 on [[0]]_1.
+        fr = finite_ring(2, 3, 7)
+        canon, b2, shift = canonical_ring(fr)
+        assert (canon.ring[:2], b2, shift) == ((0, 1), 3, 2)
+        canonical = classify_canonical(canon)
+        walks.clear()
+        assert renamed_json(fr, canonical, b2, shift, orders_template(7)) == walk_line(fr)
+        assert walks == []
+        tied = canonical._replace(group=(((2, 3), (2, 5)), *canonical.group[1:]))
+        assert renamed_json(fr, tied, b2, shift, orders_template(7)) == walk_line(fr)
+        assert walks == [fr]

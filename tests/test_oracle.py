@@ -1,5 +1,6 @@
 import random
-from math import gcd
+from itertools import combinations_with_replacement
+from math import comb, gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from polyadic.arithmetic import (
 from polyadic.errors import ForbiddenPairError, NoFiniteOrderError, NonUniqueQuotientError
 from polyadic.factor import _is_binary_prime, _prime_factors
 from polyadic.finite import (
+    canonical_ring,
     characteristic,
     element_order,
     find_units,
@@ -25,6 +27,8 @@ from polyadic.finite import (
 )
 from polyadic.groups import cyclic_subgroup, decompose, primitive_elements, reflections
 from polyadic.oracle import (
+    _add,
+    _mul,
     oracle_arity,
     oracle_characteristic,
     oracle_decompositions,
@@ -180,6 +184,36 @@ class TestOracleZeroAndUnits:
                 assert oracle_is_field(fr) == is_field(fr), fr
                 fields += 1
         assert fields == 148 and (both, undefined) == (386, 95)
+
+
+class TestOracleCanonicalRing:
+    def test_the_label_carries_the_sum_and_the_product(self):
+        # finite.canonical_ring's lemma, checked with the oracle's own m-ary
+        # sum and n-ary product on every multiset of indices: the label is a
+        # bijection, and the label of a sum or a product is the canonical
+        # ring's sum or product of the labels.  m reaches 12 at b = 11, so
+        # the grid (b, q <= 12, the binary limit, q = 1 and the larger
+        # arities) is bounded by its multiset count, here 600 per ring.
+        def multisets(fr):
+            return comb(fr.q + fr.ring.m - 1, fr.ring.m) + comb(fr.q + fr.ring.n - 1, fr.ring.n)
+
+        grid = [finite_ring(a, b, q) for a, b in [(0, 1), *grid_pairs(12)] for q in range(1, 13)]
+        rings = [fr for fr in grid + larger_arity_rings() if multisets(fr) <= 600]
+        reduced = 0
+        for fr in rings:
+            canon, b2, shift = canonical_ring(fr)
+            q, (m, n) = fr.q, fr.ring[2:4]
+            assert canon.q == q and canon.ring[2:4] == (m, n), fr
+            b1 = canon.ring.b  # gcd(b, q^inf): its primes divide q, and b / b1 is prime to q
+            assert fr.ring.b % b1 == pow(q, b1, b1) == 0 and gcd(fr.ring.b // b1, q) == 1, fr
+            label = [(b2 * k + shift) % q for k in range(q)]
+            assert sorted(label) == list(range(q)), fr
+            for ks in combinations_with_replacement(range(q), m):
+                assert label[_add(fr, ks)] == _add(canon, [label[k] for k in ks]), (fr, ks)
+            for ks in combinations_with_replacement(range(q), n):
+                assert label[_mul(fr, ks)] == _mul(canon, [label[k] for k in ks]), (fr, ks)
+            reduced += canon.ring.b > 1
+        assert (len(rings), sum(fr.q == 1 for fr in rings), reduced) == (657, 154, 226)
 
 
 class TestOraclePowers:
