@@ -43,7 +43,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import ForbiddenPairError, NotAFieldError, NotLimitingError, PolyadicError
-from .ring import grid_pairs, make_descriptor
+from .ring import grid_pairs, is_allowed, make_descriptor
 
 
 def _lazy(name: str):
@@ -247,7 +247,7 @@ def _cmd_appendix(args) -> str:
 
 # The most indices, summed over its canonical rings, that one scan's memo holds: 24x24
 # keeps 9,836 and 40x40 51,319; at 2^15, 40x40 classified 8,013 canonical rings, not
-# 4,431.  `scan --bmax 3 --qmax 600` fills it and read 17.5 MB, 16.2 MB at 2^15.
+# 4,431.  `scan --bmax 3 --qmax 600` fills it and read 18.1 MB, 16.5 MB at 2^15.
 SCAN_MEMO_INDICES = 2**16
 
 
@@ -260,9 +260,7 @@ def _key_recurs(a: int, b: int, q: int, b1: int, bmax: int) -> bool:
     t = b // b1 + 1
     while gcd(t, q) > 1:
         t += 1
-    # x is an allowed residue of b when gcd(x, b / gcd(x, b)) = 1 (`ring.allowed_residues`).
-    return b1 == 1 or b1 * t <= bmax or any(gcd(x, b // gcd(x, b)) == 1
-                                            for x in range(a + b1, b, b1))
+    return b1 * t <= bmax or any(is_allowed(x, b) for x in range(a + b1, b, b1))
 
 
 def _cmd_scan(args) -> Iterator[str]:

@@ -135,9 +135,14 @@ def make_descriptor(a: int, b: int) -> RingDescriptor:
     return RingDescriptor(a, b, m, n, (m - 1) * a // b, (a**n - a) // b)
 
 
+def is_allowed(a: int, b: int) -> bool:
+    """Whether the residue a heads a polyadic ring modulo b (`derive_arities`)."""
+    return gcd(a, b // gcd(a, b)) == 1
+
+
 def allowed_residues(b: int) -> list[int]:
     """Residues 1..b-1 that head a polyadic ring (forbidden ones skipped)."""
-    return [a for a in range(1, b) if gcd(a, b // gcd(a, b)) == 1]
+    return [a for a in range(1, b) if is_allowed(a, b)]
 
 
 def grid_pairs(b_max: int) -> Iterator[tuple[int, int]]:
@@ -151,7 +156,7 @@ def grid_pairs(b_max: int) -> Iterator[tuple[int, int]]:
 
 def forbidden_residues(b: int) -> list[int]:
     """Residues 1..b-1 that head no polyadic ring."""
-    return [a for a in range(1, b) if gcd(a, b // gcd(a, b)) != 1]
+    return [a for a in range(1, b) if not is_allowed(a, b)]
 
 
 class PolyInt(NamedTuple):

@@ -207,8 +207,8 @@ ROWS = {
         sha256="ec2641c7206dbfd92b78a1bf9c29272efaf96e1ba995005e8e04ceb1507dca18"),
     # A tall scan, 6,365,743 bytes: its canonical rings outgrow the scan's
     # memo, which holds at most cli.SCAN_MEMO_INDICES indices.  It read
-    # 0.50-0.67 s and 18.0 MB at 2^16 (the residue-ring memo of 2^15 before
-    # it: 0.57-0.67 s, 17.2 MB); an unbounded residue-ring memo read 31.5 MB.
+    # 0.56-0.96 s and 18.1 MB at 2^16 (the residue-ring memo of 2^15 before
+    # it: 0.63-0.93 s, 17.2 MB); an unbounded residue-ring memo read 31.5 MB.
     "scan-3x600": Row(
         cli("scan", "--bmax", "3", "--qmax", "600"), 0, 10, rss_mb=20,
         sha256="6fc65db08975edc8cd0cf29d1d77097615306024a5b90de4e102e2e93f965a9c"),

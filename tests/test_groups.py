@@ -318,9 +318,9 @@ class TestRelabelling:
         assert (fields, len(memo), ties) == (428, 1940, 1)
 
     def test_a_long_label_step_is_gathered_without_the_repeated_list(self, walks):
-        # [[1]]_306 of order 307 has b2 = 306 and b2^-1 = 306: repeating the
-        # 307 orders 307 times would pass 2^16 places, so `groups._gather`
-        # takes its comprehension for the orders, the names and the lengths.
+        # [[1]]_306 of order 307 has b2 = 306 and b2^-1 = 306, past the step
+        # of 64 where `groups._gather` turns from its slice to its
+        # comprehension, for the orders, the names and the lengths.
         fr = finite_ring(1, 306, 307)
         assert canonical_ring(fr)[1:] == (306, 1) and is_field(fr)
         assert not agrees_with_the_walk(fr, {}, walks)
