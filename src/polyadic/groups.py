@@ -264,8 +264,8 @@ def renamed_json(fr: FiniteRing, canonical: Canonical, b2: int, shift: int, orde
 def _gather(xs: list, step: int, shift: int) -> list:
     """[xs[(step*k + shift) % q] for k in range(q)], q = len(xs), as one slice of xs repeated."""
     q = len(xs)
-    # The slice copies (step + 1)*q places, the comprehension computes q: timed per call
-    # at q = 23 to 600, the slice is 5-13x faster at step 1 and they cross at step 64-70.
+    # The slice copies (step + 1)*q places, the comprehension computes q: per call at q = 23
+    # to 600 they cross at step 64-70; by slices alone scan 3x600 peaked at 20.8 MB, not 18.1.
     if step < 64:
         return (xs * (step + 1))[shift:shift + step * q:step]
     return [xs[(step * k + shift) % q] for k in range(q)]
